@@ -826,25 +826,37 @@ module Fusion_bench = struct
   module S = Asr.Supervisor
   module I = Asr.Inject
 
-  type srun = { f_label : string; f_evals : int; f_wall : float }
+  type srun = {
+    f_label : string;
+    f_evals : int;
+    f_wall : float;  (* mean s/pass *)
+    f_best : float;  (* best s/pass, reset excluded *)
+    f_words : float;  (* minor words of one pass (deterministic) *)
+  }
 
   (* Evaluations and outputs from one untimed pass (deterministic,
      comparable across artifacts); wall from [passes] repeated timed
      passes of the bare reaction loop, amortizing noise. The simulator —
      and with it the schedule and the fuse plan — is created once:
      plan compilation is setup, not reaction cost. *)
-  let measure g stream ~label ~strategy ~passes =
-    let sim = Asr.Simulate.create ~strategy g in
+  let measure ?supervisor g stream ~label ~strategy ~passes =
+    let sim = Asr.Simulate.create ~strategy ?supervisor g in
     let outputs = List.map (fun inputs -> Asr.Simulate.step sim inputs) stream in
     let evals = Asr.Simulate.block_evaluations sim in
     Asr.Simulate.reset sim;
+    let best = ref infinity and words = ref 0.0 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to passes do
+      let w0 = Gc.minor_words () and p0 = Unix.gettimeofday () in
       List.iter (fun inputs -> ignore (Asr.Simulate.step sim inputs)) stream;
+      best := Float.min !best (Unix.gettimeofday () -. p0);
+      words := Gc.minor_words () -. w0;
       Asr.Simulate.reset sim
     done;
     let wall = (Unix.gettimeofday () -. t0) /. float_of_int passes in
-    (outputs, { f_label = label; f_evals = evals; f_wall = wall })
+    ( outputs,
+      { f_label = label; f_evals = evals; f_wall = wall; f_best = !best;
+        f_words = !words } )
 
   type report = {
     w_name : string;
@@ -934,6 +946,11 @@ module Fusion_bench = struct
     s_wall_scheduled : float;
     s_wall_fused : float;
     s_equal : bool;
+    s_fused_ns : float;  (* per instant, best of the timed passes *)
+    s_fused_words : float;  (* minor words per instant *)
+    s_supervised_ns : float;  (* fused + hold-last supervisor *)
+    s_supervised_words : float;
+    s_supervised_equal : bool;  (* supervised outputs = fused outputs *)
   }
 
   let scaling_row size ~instants =
@@ -953,9 +970,15 @@ module Fusion_bench = struct
       measure g stream ~label:"scheduled" ~strategy:Asr.Fixpoint.Scheduled
         ~passes:1
     in
+    let passes = if size >= 100_000 then 3 else 10 in
     let fused_out, fused =
-      measure g stream ~label:"fused" ~strategy:Asr.Fixpoint.Fused ~passes:1
+      measure g stream ~label:"fused" ~strategy:Asr.Fixpoint.Fused ~passes
     in
+    let supervised_out, supervised =
+      measure ~supervisor:(S.create ~policy:S.Hold_last ()) g stream
+        ~label:"fused+supervisor" ~strategy:Asr.Fixpoint.Fused ~passes
+    in
+    let n = float_of_int instants in
     { s_blocks = Array.length compiled.G.c_blocks;
       s_nets = compiled.G.n_nets;
       s_folded = plan.Asr.Fuse.f_n_folded;
@@ -965,7 +988,12 @@ module Fusion_bench = struct
       s_evals_fused = fused.f_evals;
       s_wall_scheduled = scheduled.f_wall;
       s_wall_fused = fused.f_wall;
-      s_equal = fused_out = scheduled_out }
+      s_equal = fused_out = scheduled_out;
+      s_fused_ns = fused.f_best /. n *. 1e9;
+      s_fused_words = fused.f_words /. n;
+      s_supervised_ns = supervised.f_best /. n *. 1e9;
+      s_supervised_words = supervised.f_words /. n;
+      s_supervised_equal = supervised_out = fused_out }
 
   let scaling ~smoke () =
     let sizes =
@@ -1085,6 +1113,19 @@ module Fusion_bench = struct
           (s.s_wall_scheduled /. s.s_wall_fused)
           (if s.s_equal then "equal" else "DIVERGED"))
       srows;
+    print_endline
+      "per instant, fused vs fused + supervisor (hold-last), best of passes:";
+    List.iter
+      (fun s ->
+        Printf.printf
+          "  %7d blocks  fused %11.0f ns %9.0f words  supervised %11.0f ns \
+           %9.0f words  (%.2fx time, %.2fx words)  %s\n"
+          s.s_blocks s.s_fused_ns s.s_fused_words s.s_supervised_ns
+          s.s_supervised_words
+          (s.s_supervised_ns /. s.s_fused_ns)
+          (s.s_supervised_words /. s.s_fused_words)
+          (if s.s_supervised_equal then "equal" else "DIVERGED"))
+      srows;
     Printf.printf
       "\ncontainment (fused + %s): %d injected, %d contained, %d nets in \
        blast radius, %d (instant, net) pairs outside it %s\n"
@@ -1116,11 +1157,16 @@ module Fusion_bench = struct
          \"folded_blocks\": %d, \"cyclic_blocks\": %d, \"fuse_compile_s\": \
          %.6f, \"evaluations_scheduled\": %d, \"evaluations_fused\": %d, \
          \"wall_scheduled_s\": %.6f, \"wall_fused_s\": %.6f, \
-         \"speedup_wall\": %.2f, \"equal_outputs\": %b}"
+         \"speedup_wall\": %.2f, \"equal_outputs\": %b,\n\
+        \     \"fused_ns_per_instant\": %.0f, \"fused_words_per_instant\": \
+         %.0f, \"supervised_ns_per_instant\": %.0f, \
+         \"supervised_words_per_instant\": %.0f, \
+         \"supervised_equal_outputs\": %b}"
         s.s_blocks s.s_blocks s.s_nets s.s_folded s.s_cyclic s.s_fuse_compile
         s.s_evals_scheduled s.s_evals_fused s.s_wall_scheduled s.s_wall_fused
         (s.s_wall_scheduled /. s.s_wall_fused)
-        s.s_equal
+        s.s_equal s.s_fused_ns s.s_fused_words s.s_supervised_ns
+        s.s_supervised_words s.s_supervised_equal
     in
     Printf.printf
       "{\n\
@@ -1168,7 +1214,16 @@ module Fusion_bench = struct
     List.iter
       (fun s ->
         if not s.s_equal then
-          fail "netgen-%d: fused outputs diverge from scheduled" s.s_blocks)
+          fail "netgen-%d: fused outputs diverge from scheduled" s.s_blocks;
+        if not s.s_supervised_equal then
+          fail "netgen-%d: supervised fused outputs diverge from fused"
+            s.s_blocks;
+        (* deterministic: the supervised kernel lane allocates only the
+           values it materializes, nothing per application *)
+        if s.s_supervised_words > 1.25 *. s.s_fused_words then
+          fail "netgen-%d: supervised fused allocates %.0f words/instant, \
+                > 1.25x fused (%.0f)"
+            s.s_blocks s.s_supervised_words s.s_fused_words)
       srows;
     if not cont.c_contained_ok then
       fail "%s: containment violated on the fused path (%d injected)"
@@ -4271,12 +4326,7 @@ module Recovery_bench = struct
     Unix.kill pid Sys.sigkill;
     let _, status = Unix.waitpid [] pid in
     let sigkill = ready && status = Unix.WSIGNALED Sys.sigkill in
-    let latest =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter_map (fun f ->
-             Scanf.sscanf_opt f "checkpoint-%d.json" (fun i -> i))
-      |> List.fold_left max (-1)
-    in
+    let latest = K.latest dir in
     (* in-process oracle: the same run, uninterrupted *)
     let g, sim, injector, arr = harness_setup ~instants in
     let oracle_outs =
@@ -4292,12 +4342,10 @@ module Recovery_bench = struct
       K.capture ~system:"recovery-harness" ~seed:41 ~injector sim
     in
     let converged =
-      latest >= 0
-      &&
-      let ck =
-        K.load
-          (Filename.concat dir (Printf.sprintf "checkpoint-%d.json" latest))
-      in
+      match latest with
+      | None -> false
+      | Some (_, path) ->
+      let ck = K.load path in
       let r = K.resume ck g in
       let start = K.instant ck in
       let routs = ref [] in
@@ -4316,7 +4364,7 @@ module Recovery_bench = struct
       (Sys.readdir dir);
     (try Unix.rmdir dir with Unix.Unix_error _ -> ());
     { k_kill = kill;
-      k_resumed_from = latest;
+      k_resumed_from = (match latest with Some (i, _) -> i | None -> -1);
       k_sigkill = sigkill;
       k_converged = converged }
 

@@ -314,31 +314,75 @@ let of_json j =
 
 (* ------------------------------ disk ------------------------------ *)
 
-(* [save] feeds the monitor's checkpoint-write accounting: byte volume
-   and [Sys.time] cost on success, the data-loss failure flag on
-   [Sys_error] (the error still propagates — the caller decides whether
-   a failed write is fatal). *)
+(* Makes a rename in [dir] durable. Filesystems that cannot sync a
+   directory answer EINVAL; there the rename is as durable as it gets. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+
+(* [save] is atomic: the artifact goes to a temp file beside the
+   target, is fsynced, and is renamed over the target, whose directory
+   is then fsynced, so a crash or a failed write never leaves a
+   truncated checkpoint where the previous one was. It feeds the monitor's checkpoint-write accounting:
+   byte volume and wall-clock write time on success, the data-loss
+   failure flag on failure. A failure removes the temp file and raises
+   [Sys_error] (the caller decides whether a failed write is fatal). *)
 let save ?monitor t path =
   let payload = Json.to_string (to_json t) in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
+  let tmp = ref None in
   match
-    let oc = open_out path in
+    (* A per-process name rather than [Filename.open_temp_file]'s
+       random one, whose formatting allocates a varying number of words
+       — save must allocate the same every time (benchmarks fingerprint
+       allocation). Permissions are 0o666 under the umask, as [open_out]
+       would create the target. *)
+    let name = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+    let oc =
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666
+        name
+    in
+    tmp := Some name;
     Fun.protect
-      ~finally:(fun () -> close_out oc)
+      ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         output_string oc payload;
-        output_char oc '\n')
+        output_char oc '\n';
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Unix.rename name path;
+    tmp := None;
+    fsync_dir (Filename.dirname path)
   with
   | () ->
       Option.iter
         (fun m ->
           Monitor.checkpoint_written m
             ~bytes:(String.length payload + 1)
-            ~seconds:(Sys.time () -. t0))
+            ~seconds:(Float.max 0. (Unix.gettimeofday () -. t0)))
         monitor
-  | exception Sys_error e ->
+  | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
+      Option.iter (fun name -> try Sys.remove name with Sys_error _ -> ()) !tmp;
       Option.iter Monitor.checkpoint_write_failed monitor;
-      raise (Sys_error e)
+      raise
+        (match e with
+        | Unix.Unix_error (err, fn, _) ->
+            Sys_error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message err))
+        | e -> e)
+
+(* [%!] anchors the name, so a temp file an interrupted save left
+   behind ([checkpoint-N.json.<pid>.tmp]) never counts as checkpoint N. *)
+let latest dir =
+  Array.fold_left
+    (fun best f ->
+      match Scanf.sscanf_opt f "checkpoint-%d.json%!" (fun i -> i) with
+      | Some i when (match best with Some (j, _) -> i > j | None -> true) ->
+          Some (i, Filename.concat dir f)
+      | _ -> best)
+    None (Sys.readdir dir)
 
 let load path =
   let ic = open_in_bin path in

@@ -103,10 +103,19 @@ val equal : t -> t -> bool
 (** Bit-exact artifact equality (serialized-form comparison). *)
 
 val save : ?monitor:Telemetry.Monitor.t -> t -> string -> unit
-(** Write the artifact. When a monitor is passed, feeds its
-    checkpoint-write accounting: bytes and [Sys.time] seconds on
-    success, the [checkpoint_write_failures] data-loss flag on
-    [Sys_error] (which still propagates). *)
+(** Write the artifact atomically: to [<path>.<pid>.tmp], fsynced,
+    then renamed over [path], whose directory is fsynced — a failed or
+    interrupted write leaves the previous artifact intact and
+    loadable. When a monitor is passed,
+    feeds its checkpoint-write accounting: bytes and wall-clock seconds
+    (open to rename) on success, the [checkpoint_write_failures]
+    data-loss flag on failure. Failures remove the temp file and raise
+    [Sys_error]. *)
+
+val latest : string -> (int * string) option
+(** The highest-numbered [checkpoint-N.json] in a directory, as
+    [(N, path)]. Temp files left by an interrupted {!save} are ignored.
+    Raises [Sys_error] when the directory cannot be read. *)
 
 val load : string -> t
 (** Raises [Sys_error] or [Invalid_argument]. *)

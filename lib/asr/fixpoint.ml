@@ -84,10 +84,7 @@ let apply_block ?supervisor ?causal (c : Graph.compiled) ~bufs nets bi =
              in
              let contained =
                match supervisor with
-               | Some sup ->
-                   Supervisor.retract sup ~bi
-                     ~current:(Array.map (fun n -> nets.(n)) out_nets)
-                     ~detail
+               | Some sup -> Supervisor.retract sup ~bi ~detail
                | None -> false
              in
              if contained then raise_notrace Exit
@@ -262,8 +259,9 @@ let eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts =
 (* Fused: execute a precompiled Fuse plan. Acyclic blocks store their
    outputs directly into net slots (single producer + topological order
    make the direct store exact); cyclic SCCs fall back to the bounded
-   lub iteration above. With a supervisor, every remaining application
-   runs under Supervisor.guard — same containment, same substitution.   *)
+   lub iteration above. With a supervisor, kernel steps still run on
+   their slot closures and only a raising step is replayed under
+   Supervisor.guard — same containment, same substitution.             *)
 (* ------------------------------------------------------------------ *)
 
 (* Direct-store application of an acyclic opaque block: inputs from a
@@ -334,29 +332,41 @@ let eval_fused ?supervisor ?causal c nets ~bufs ~plan ~counts =
       for k = 0 to Array.length dst - 1 do
         nets.(dst.(k)) <- nets.(src.(k))
       done
-  | None, None ->
+  | _, None ->
+      (* Counted and/or supervised: block by block, every net
+         materialized. Kernel steps run on their slot closures; under a
+         supervisor a raising step (it wrote nothing) is replayed once
+         through the guarded direct store, which retries, contains and
+         logs as if guarded from the start — kernels are pure, so the
+         replay is unobservable. Quarantined and contained blocks, opaque
+         blocks and SCC members go through Supervisor.guard. *)
       for k = 0 to n - 1 do
         match ops.(k) with
-        | Fuse.Step (bi, step) ->
+        | Fuse.Step (bi, step) -> (
             incr evaluations;
             bump counts bi;
-            step nets
+            match supervisor with
+            | None -> step nets
+            | Some sup ->
+                if not (Supervisor.run_direct sup ~bi step nets) then
+                  apply_direct ~supervisor:sup c ~bufs nets bi)
         | Fuse.Generic bi ->
             incr evaluations;
             bump counts bi;
-            apply_direct c ~bufs nets bi
+            apply_direct ?supervisor c ~bufs nets bi
         | Fuse.Iterate (members, bound) ->
             let rounds =
-              iterate_scc c nets ~bufs ~members ~bound ~counts ~evaluations
+              iterate_scc ?supervisor c nets ~bufs ~members ~bound ~counts
+                ~evaluations
             in
             if rounds > !max_rounds then max_rounds := rounds
       done
-  | _ ->
-      (* Supervised and/or traced: kernel specialization would bypass
-         the guard and hide writes from the causal sink, so every
-         acyclic block takes the (guarded, recorded) direct-store path.
-         Folded blocks stay folded — they are constant, cannot fault,
-         and are recorded as template bindings by the caller. *)
+  | _, Some _ ->
+      (* Traced: kernel steps would hide their writes from the causal
+         sink, so every acyclic block takes the (guarded, recorded)
+         direct-store path. Folded blocks stay folded — they are
+         constant, cannot fault, and are recorded as template bindings
+         by the caller. *)
       for k = 0 to n - 1 do
         match ops.(k) with
         | Fuse.Step (bi, _) | Fuse.Generic bi ->
@@ -480,6 +490,7 @@ let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
     match supervisor with
     | Some sup ->
         Supervisor.attach sup c;
+        Supervisor.bind_nets sup nets;
         if Supervisor.in_instant sup then false
         else begin
           Supervisor.begin_instant sup;

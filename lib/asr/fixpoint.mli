@@ -115,11 +115,16 @@ val eval :
     budgets, quarantine — see {!Supervisor}) and additionally contains
     retractions that would otherwise raise {!Nonmonotonic}, by freezing
     the offending block at its nets' current values. Under [Fused],
-    kernel specialization is disabled so that every remaining
-    application passes through the guard (folded constants cannot fault
-    and stay folded). When no instant is already open (i.e. the caller
-    is not {!Simulate}), this call is bracketed as one supervised
-    instant. Under the [Fail_fast] policy a contained fault re-raises as
+    kernel steps still run their slot closures unguarded (kernels are
+    pure); a step that raises wrote nothing and is replayed once under
+    the guard, so retries, containment, the fault log and [Fatal] come
+    out exactly as if it had been guarded. Opaque blocks, SCC members
+    and quarantined or contained blocks go through the guard; folded
+    constants cannot fault and stay folded. The supervisor is bound to
+    [nets] ({!Supervisor.bind_nets}) and commits outputs from it. When
+    no instant is already open (i.e. the caller is not {!Simulate}),
+    this call is bracketed as one supervised instant. Under the
+    [Fail_fast] policy a contained fault re-raises as
     [Supervisor.Fatal].
 
     [causal], when supplied, records this evaluation into a bounded
@@ -129,9 +134,10 @@ val eval :
     resolved to their producers' uids. If no instant is already open on
     the sink, the call is bracketed as one traced instant. Under
     [Fused] the fast lane is bypassed — chains collapse nets the log
-    must see — so tracing runs the block-at-a-time op list, exactly
-    like [eval_counts] and [supervisor] do; evaluation counts are
-    unchanged. With a supervisor, substituted outputs are tagged with
+    must see — so tracing runs the block-at-a-time op list, as
+    [eval_counts] and [supervisor] do, with every acyclic block taking
+    the generic direct-store application so its writes are recorded;
+    evaluation counts are unchanged. With a supervisor, substituted outputs are tagged with
     their containment provenance ({!Supervisor.containment}). *)
 
 val outputs : Graph.compiled -> result -> (string * Domain.t) list

@@ -50,10 +50,16 @@
     chain is ⊥-strict, so a kernel inside a chain whose consumer is
     already ⊥ from an earlier argument is not applied at all (a trap it
     would have raised does not fire). Runs that observe per-block
-    behaviour — a {!Supervisor}, or per-block eval counters — use the
-    block-at-a-time [f_ops] interpretation, where every net is
-    materialized, every application (and its faults) is visible, and
-    the instant starts from a full template blit.
+    behaviour — a {!Supervisor}, per-block eval counters, or both — run
+    the block-at-a-time [f_ops] kernel lane instead: every net is
+    materialized, every application (and its faults) is visible, the
+    instant starts from a full template blit, and each kernel [Step]
+    still runs its slot closure — no output array, staging or closure
+    per application. Under a supervisor a raising step, which wrote
+    nothing, is replayed once through {!Supervisor.guard}; opaque
+    blocks, SCC members and quarantined or contained blocks always go
+    through the guard. Only causal recording sends every acyclic block
+    through the generic direct-store application.
 
     Constant folding: a pure-kernel block whose transitive inputs are
     all compile-time constants is evaluated once at fuse time; its
@@ -66,9 +72,9 @@
     these folded nets.
 
     Evaluation of a plan lives in {!Fixpoint.eval} (strategy
-    [Fused]), which also routes every remaining application through
-    {!Supervisor.guard} when a supervisor is present — containment on
-    the fused path uses the same constant-per-instant substitution.
+    [Fused]); with a supervisor present, containment on the fused path
+    uses the same guard and the same constant-per-instant substitution
+    as the interpreted strategies.
     Folded blocks cannot fault (their one evaluation already succeeded
     and they are constant), so dropping them is containment-neutral. *)
 
@@ -92,8 +98,8 @@ type fast =
 
 type t = {
   f_ops : op array;
-      (** block-at-a-time ops in schedule order: the counting and
-          supervised interpretations *)
+      (** block-at-a-time ops in schedule order: the kernel lane of
+          counted, supervised and traced runs *)
   f_fast : fast array;
       (** the fast lane: chains collapsed, in schedule order *)
   f_fast_evals : int;

@@ -40,12 +40,13 @@ val create :
     ["asr.fixpoint_iterations"] histogram. Disabled registries cost one
     check per reaction.
 
-    [supervisor]: every block application of every instant runs under
-    {!Supervisor.guard} (trap containment, budgets, quarantine); the
-    simulator drives the supervisor's instant lifecycle and, with
-    telemetry on, adds a ["faults"] arg to each instant span. Without a
-    supervisor the execution path is exactly the pre-supervisor one —
-    no per-application overhead.
+    [supervisor]: every block application of every instant is
+    supervised (trap containment, budgets, quarantine; see
+    {!Fixpoint.eval} for the fused kernel lane); the simulator drives
+    the supervisor's instant lifecycle and, with telemetry on, adds a
+    ["faults"] arg to each instant span. Without a supervisor the
+    execution path is exactly the pre-supervisor one — no
+    per-application overhead.
 
     [monitor]: each reaction is bracketed by
     {!Telemetry.Monitor.instant_begin} / [instant_end], recording one

@@ -35,13 +35,16 @@ type t = {
   (* Per-block state, sized lazily at first {!attach}. *)
   mutable n_blocks : int; (* -1 until attached *)
   mutable names : string array;
-  mutable out_arity : int array;
+  mutable out_nets : int array array;
+  (* A block's good outputs this instant are its output nets in [cur],
+     committed at [end_instant]. Per-instant flags are instant stamps,
+     so opening an instant clears nothing. *)
   mutable committed : Domain.t array array; (* last good outputs, prev instants *)
-  mutable staged : Domain.t array array; (* last good outputs, this instant *)
-  mutable staged_valid : bool array;
-  mutable apps : int array; (* applications this instant *)
-  mutable latched : bool array; (* contained this instant: substitute, don't run *)
-  mutable faulty_instant : bool array; (* unrecovered fault this instant *)
+  mutable cur : Domain.t array; (* net array bound for the current instant *)
+  mutable good_at : int array; (* last instant with good outputs *)
+  mutable contained_at : int array; (* last instant contained: substitute *)
+  mutable apps : int array; (* applications in instant [apps_at] *)
+  mutable apps_at : int array;
   mutable consec : int array; (* consecutive faulty instants *)
   mutable quarantined : bool array;
   mutable instant : int;
@@ -114,6 +117,9 @@ let default_classify = function
   | Out_of_memory -> Some (Heap_exhausted, "out of memory")
   | _ -> None
 
+(* Instant stamp no instant matches (instants count up from 0). *)
+let never = min_int
+
 let create ?(policy = Hold_last) ?(escalate_after = 3) ?(max_log = 1000)
     ?step_budget ?classify ?telemetry () =
   if escalate_after < 1 then
@@ -136,13 +142,13 @@ let create ?(policy = Hold_last) ?(escalate_after = 3) ?(max_log = 1000)
     telemetry;
     n_blocks = -1;
     names = [||];
-    out_arity = [||];
+    out_nets = [||];
     committed = [||];
-    staged = [||];
-    staged_valid = [||];
+    cur = [||];
+    good_at = [||];
+    contained_at = [||];
     apps = [||];
-    latched = [||];
-    faulty_instant = [||];
+    apps_at = [||];
     consec = [||];
     quarantined = [||];
     instant = 0;
@@ -164,15 +170,14 @@ let attach t (c : Graph.compiled) =
   if t.n_blocks = -1 then begin
     t.n_blocks <- n;
     t.names <- Array.map (fun (b, _, _) -> b.Block.name) c.Graph.c_blocks;
-    t.out_arity <- Array.map (fun (b, _, _) -> b.Block.n_out) c.Graph.c_blocks;
+    t.out_nets <- Array.map (fun (_, _, outs) -> outs) c.Graph.c_blocks;
     t.committed <-
-      Array.init n (fun bi -> Array.make t.out_arity.(bi) Domain.Bottom);
-    t.staged <-
-      Array.init n (fun bi -> Array.make t.out_arity.(bi) Domain.Bottom);
-    t.staged_valid <- Array.make n false;
+      Array.map (fun outs -> Array.make (Array.length outs) Domain.Bottom)
+        t.out_nets;
+    t.good_at <- Array.make n never;
+    t.contained_at <- Array.make n never;
     t.apps <- Array.make n 0;
-    t.latched <- Array.make n false;
-    t.faulty_instant <- Array.make n false;
+    t.apps_at <- Array.make n never;
     t.consec <- Array.make n 0;
     t.quarantined <- Array.make n false
   end
@@ -184,16 +189,18 @@ let attach t (c : Graph.compiled) =
 
 let in_instant t = t.in_instant
 
+let bind_nets t nets = t.cur <- nets
+
 let begin_instant t =
   if t.in_instant then invalid_arg "Supervisor.begin_instant: instant open";
   t.in_instant <- true;
-  t.instant_faults <- 0;
-  if t.n_blocks > 0 then begin
-    Array.fill t.staged_valid 0 t.n_blocks false;
-    Array.fill t.apps 0 t.n_blocks 0;
-    Array.fill t.latched 0 t.n_blocks false;
-    Array.fill t.faulty_instant 0 t.n_blocks false
-  end
+  t.instant_faults <- 0
+
+let good t bi = t.good_at.(bi) = t.instant
+
+let contained t bi = t.contained_at.(bi) = t.instant
+
+let mark_good t bi = t.good_at.(bi) <- t.instant
 
 let count_telemetry t name n =
   match t.telemetry with
@@ -207,19 +214,27 @@ let log_fault t f =
   end
   else t.dropped_log <- t.dropped_log + 1
 
+(* One pass commits and advances the watchdog. A block good this instant
+   commits its output nets in the bound fixed point (single producer, so
+   they hold exactly what it wrote, or what it was frozen at); a block
+   contained before producing any keeps its last good values. *)
 let end_instant t =
   if not t.in_instant then invalid_arg "Supervisor.end_instant: no instant open";
   t.in_instant <- false;
+  let k = t.instant in
   for bi = 0 to t.n_blocks - 1 do
-    if t.staged_valid.(bi) then
-      Array.blit t.staged.(bi) 0 t.committed.(bi) 0
-        (Array.length t.staged.(bi));
-    if t.faulty_instant.(bi) then begin
+    if t.good_at.(bi) = k then begin
+      let outs = t.out_nets.(bi) and dst = t.committed.(bi) in
+      for p = 0 to Array.length outs - 1 do
+        dst.(p) <- t.cur.(outs.(p))
+      done
+    end;
+    if t.contained_at.(bi) = k then begin
       t.consec.(bi) <- t.consec.(bi) + 1;
       if t.consec.(bi) >= t.escalate_after && not t.quarantined.(bi) then begin
         t.quarantined.(bi) <- true;
         let f =
-          { f_instant = t.instant;
+          { f_instant = k;
             f_block = bi;
             f_block_name = t.names.(bi);
             f_class = Trap;
@@ -234,29 +249,29 @@ let end_instant t =
     end
     else if not t.quarantined.(bi) then t.consec.(bi) <- 0
   done;
-  t.instant <- t.instant + 1
+  t.instant <- k + 1
 
 (* The substitution for a contained block must be consistent (under lub)
    with whatever the block already wrote to its nets this instant, or
-   containment itself would trigger a retraction. If the block staged
-   outputs earlier in the instant, those values are already in the nets
-   and are the only safe choice. Otherwise the nets hold ⊥ for this
-   block, and anything is consistent: [Hold_last]/[Retry] substitute the
-   last committed outputs, [Absent] substitutes ⊥. *)
+   containment itself would trigger a retraction. If the block produced
+   good outputs earlier in the instant, its output nets hold them (lub
+   of every application's outputs, single producer), and those values
+   are the only safe choice. Otherwise the nets hold ⊥ for this block,
+   and anything is consistent: [Hold_last]/[Retry] substitute the last
+   committed outputs, [Absent] substitutes ⊥. *)
 let substitution t bi =
-  if t.staged_valid.(bi) then Array.copy t.staged.(bi)
+  if good t bi then Array.map (fun n -> t.cur.(n)) t.out_nets.(bi)
   else
     match t.policy with
-    | Absent -> Array.make t.out_arity.(bi) Domain.Bottom
+    | Absent -> Array.make (Array.length t.out_nets.(bi)) Domain.Bottom
     | Fail_fast | Hold_last | Retry _ -> Array.copy t.committed.(bi)
 
 let fault_action t bi =
-  if t.staged_valid.(bi) then Held
+  if good t bi then Held
   else match t.policy with Absent -> Went_absent | _ -> Held
 
 let contain t ~bi ~cls ~detail =
-  t.latched.(bi) <- true;
-  t.faulty_instant.(bi) <- true;
+  t.contained_at.(bi) <- t.instant;
   t.total_faults <- t.total_faults + 1;
   t.instant_faults <- t.instant_faults + 1;
   let action = if t.policy = Fail_fast then Aborted else fault_action t bi in
@@ -279,11 +294,13 @@ let guard t ~bi ~run =
   if t.n_blocks = -1 then invalid_arg "Supervisor.guard: not attached";
   if bi < 0 || bi >= t.n_blocks then
     invalid_arg (Printf.sprintf "Supervisor.guard: no block %d" bi);
-  if t.quarantined.(bi) || t.latched.(bi) then substitution t bi
+  if t.quarantined.(bi) || contained t bi then substitution t bi
   else begin
-    t.apps.(bi) <- t.apps.(bi) + 1;
+    let apps = if t.apps_at.(bi) = t.instant then t.apps.(bi) + 1 else 1 in
+    t.apps.(bi) <- apps;
+    t.apps_at.(bi) <- t.instant;
     match t.step_budget with
-    | Some k when t.apps.(bi) > k ->
+    | Some k when apps > k ->
         contain t ~bi ~cls:Step_limit
           ~detail:
             (Printf.sprintf "more than %d applications in one instant" k)
@@ -306,8 +323,7 @@ let guard t ~bi ~run =
                 count_telemetry t "asr.supervisor.recovered" 1;
                 notify t (Ev_recovered f)
               end;
-              Array.blit outs 0 t.staged.(bi) 0 (Array.length outs);
-              t.staged_valid.(bi) <- true;
+              mark_good t bi;
               outs
           | exception e -> (
               match t.classify e with
@@ -325,20 +341,36 @@ let guard t ~bi ~run =
         attempt 0
   end
 
+(* A pure kernel step run outside [guard]: no closure, no staging, no
+   output array — the step reads and writes the bound nets itself. A
+   raising step writes nothing (kernel steps compute before they
+   store), so [false] leaves the caller free to replay the block under
+   [guard], which then retries, contains and logs exactly as if it had
+   been guarded from the start. Quarantined and contained blocks are
+   never run here: their substitution stands. *)
+let run_direct t ~bi step nets =
+  if t.quarantined.(bi) || contained t bi then false
+  else
+    match step nets with
+    | () ->
+        mark_good t bi;
+        true
+    | exception _ -> false
+
 (* Called by the fixpoint when lub-merging a block's outputs hit
    [Domain.Inconsistent]: the block retracted a defined value. The only
    substitution consistent with the nets is their current contents, so
-   containment here means "freeze the block at what it already wrote".
-   Returns [true] when contained; [false] when the block was already
-   contained this instant and still produced a retraction — that is a
-   supervisor-level invariant violation and the caller should raise
-   [Fixpoint.Nonmonotonic] as it would unsupervised. *)
-let retract t ~bi ~current ~detail =
+   containment here means "freeze the block at what it already wrote"
+   (the bound nets already hold it). Returns [true] when contained;
+   [false] when the block was already contained this instant and still
+   produced a retraction — that is a supervisor-level invariant
+   violation and the caller should raise [Fixpoint.Nonmonotonic] as it
+   would unsupervised. *)
+let retract t ~bi ~detail =
   if t.n_blocks = -1 || bi < 0 || bi >= t.n_blocks then false
-  else if t.latched.(bi) then false
+  else if contained t bi then false
   else begin
-    Array.blit current 0 t.staged.(bi) 0 (Array.length current);
-    t.staged_valid.(bi) <- true;
+    mark_good t bi;
     ignore (contain t ~bi ~cls:Retraction ~detail);
     true
   end
@@ -368,14 +400,14 @@ let containment t bi =
   if t.n_blocks <= 0 || bi < 0 || bi >= t.n_blocks then None
   else
     let source () =
-      if t.staged_valid.(bi) then "held"
+      if good t bi then "held"
       else
         match t.policy with
         | Absent -> "absent"
         | Fail_fast | Hold_last | Retry _ -> "hold-last"
     in
     if t.quarantined.(bi) then Some ("quarantined:" ^ source ())
-    else if t.latched.(bi) then Some ("contained:" ^ source ())
+    else if contained t bi then Some ("contained:" ^ source ())
     else None
 
 let quarantined_blocks t =
@@ -468,9 +500,10 @@ let fault_of_json j =
       | None -> state_malformed "action") }
 
 (* Only the inter-instant registers travel: the per-instant ones
-   (staged, latched, application counts, ...) are cleared by the next
-   [begin_instant], so a checkpoint taken between instants never needs
-   them. Codec reals ride as IEEE-754 bit patterns via [Codec]. *)
+   (good-output and containment stamps, application counts, ...) expire
+   when the next instant opens, so a checkpoint taken between instants
+   never needs them. Codec reals ride as IEEE-754 bit patterns via
+   [Codec]. *)
 let state_json t =
   if t.in_instant then
     invalid_arg "Supervisor.state_json: instant open";
@@ -491,6 +524,13 @@ let state_json t =
       ("total_recovered", Json.Int t.total_recovered);
       ("dropped_log", Json.Int t.dropped_log);
       ("log", Json.List (List.map fault_json (faults t))) ]
+
+let clear_stamps t =
+  if t.n_blocks > 0 then begin
+    Array.fill t.good_at 0 t.n_blocks never;
+    Array.fill t.contained_at 0 t.n_blocks never;
+    Array.fill t.apps_at 0 t.n_blocks never
+  end
 
 let restore_state t j =
   if t.n_blocks = -1 then
@@ -552,12 +592,7 @@ let restore_state t j =
   | _ -> state_malformed "log");
   t.in_instant <- false;
   t.instant_faults <- 0;
-  if t.n_blocks > 0 then begin
-    Array.fill t.staged_valid 0 t.n_blocks false;
-    Array.fill t.apps 0 t.n_blocks 0;
-    Array.fill t.latched 0 t.n_blocks false;
-    Array.fill t.faulty_instant 0 t.n_blocks false
-  end
+  clear_stamps t
 
 let faults_json t =
   Telemetry.Json.Obj
@@ -580,15 +615,9 @@ let reset t =
   t.total_faults <- 0;
   t.total_recovered <- 0;
   t.instant_faults <- 0;
+  clear_stamps t;
   if t.n_blocks > 0 then begin
-    for bi = 0 to t.n_blocks - 1 do
-      Array.fill t.committed.(bi) 0 (Array.length t.committed.(bi)) Domain.Bottom;
-      Array.fill t.staged.(bi) 0 (Array.length t.staged.(bi)) Domain.Bottom
-    done;
-    Array.fill t.staged_valid 0 t.n_blocks false;
-    Array.fill t.apps 0 t.n_blocks 0;
-    Array.fill t.latched 0 t.n_blocks false;
-    Array.fill t.faulty_instant 0 t.n_blocks false;
+    Array.iter (fun c -> Array.fill c 0 (Array.length c) Domain.Bottom) t.committed;
     Array.fill t.consec 0 t.n_blocks 0;
     Array.fill t.quarantined 0 t.n_blocks false
   end

@@ -12,7 +12,7 @@
 
     {b Containment invariant.} A contained block's substitution is
     always lub-consistent with what the block already wrote this
-    instant (staged outputs if any, otherwise the previous instant's
+    instant (its good outputs if any, otherwise the previous instant's
     committed outputs, otherwise ⊥), and is constant for the rest of
     the instant — so the supervised fixpoint still iterates a monotone
     function and converges. Consequently every net outside
@@ -114,9 +114,18 @@ val attach : t -> Graph.compiled -> unit
 
 val begin_instant : t -> unit
 
+val bind_nets : t -> Domain.t array -> unit
+(** Bind the net array the instant's fixpoint settles in (done by
+    {!Fixpoint.eval} on every evaluation). A block's good outputs are
+    its output nets there, which {!end_instant} commits and a
+    mid-instant substitution reads. *)
+
 val end_instant : t -> unit
-(** Commit staged outputs, advance the watchdog (consecutive-fault
-    counters, quarantine escalation), move to the next instant. *)
+(** Commit, in one pass over the bound nets, the outputs of every block
+    that produced good outputs this instant (blocks contained before
+    producing any keep their last good values), advance the watchdog
+    (consecutive-fault counters, quarantine escalation), move to the
+    next instant. *)
 
 val in_instant : t -> bool
 
@@ -126,13 +135,25 @@ val guard : t -> bi:int -> run:(unit -> Domain.t array) -> Domain.t array
     substitution is returned directly), classifies and contains any
     recognized fault per the policy. Called by [Fixpoint.apply_block]. *)
 
-val retract : t -> bi:int -> current:Domain.t array -> detail:string -> bool
+val run_direct :
+  t -> bi:int -> (Domain.t array -> unit) -> Domain.t array -> bool
+(** [run_direct t ~bi step nets] runs block [bi]'s pure kernel slot
+    closure [step] on [nets] outside {!guard}: no closure, staging or
+    output array per application. [true] when the step returned (the
+    block's good outputs are in [nets]); [false] when the block is
+    quarantined or contained this instant, or when [step] raised — a
+    kernel step computes before it stores, so it wrote nothing, and the
+    caller replays the block through {!guard}, which retries, contains
+    and logs exactly as a guarded first attempt would (the replay of a
+    pure kernel is unobservable). *)
+
+val retract : t -> bi:int -> detail:string -> bool
 (** Containment for a lub conflict detected *outside* the block
     function (the block returned, but its outputs contradict the nets).
-    [current] must be the block's output nets' current values; the
-    block is frozen at those values for the rest of the instant. [false]
-    when the block was already contained this instant — the caller
-    should then fall back to [Fixpoint.Nonmonotonic]. *)
+    The block is frozen at its output nets' current values for the rest
+    of the instant. [false] when the block was already contained this
+    instant — the caller should then fall back to
+    [Fixpoint.Nonmonotonic]. *)
 
 (** {2 Inspection} *)
 
@@ -160,7 +181,7 @@ val containment : t -> int -> string option
 (** When block [bi]'s outputs this instant come from a containment
     substitution rather than the block's own function, the provenance
     tag: ["contained:"] or ["quarantined:"] followed by the value
-    source — ["held"] (outputs staged earlier this instant),
+    source — ["held"] (good outputs produced earlier this instant),
     ["hold-last"] (last committed outputs) or ["absent"] (⊥). [None]
     when the block is running normally. Feeds the causal trace so
     held/absent values carry their policy provenance. *)
@@ -180,10 +201,10 @@ val reset : t -> unit
 
     The inter-instant registers — instant index, committed outputs,
     fault streaks, quarantine flags, counters, and the capped fault
-    log — as a JSON blob. Per-instant scratch (staged values, latches,
-    application counts) is excluded: it is cleared by the next
-    [begin_instant], so a checkpoint taken between instants never needs
-    it. Reals serialize as IEEE-754 bit patterns, and fault actions as
+    log — as a JSON blob. Per-instant scratch (good-output and
+    containment stamps, application counts) is excluded: it expires when
+    the next instant opens, so a checkpoint taken between instants never
+    needs it. Reals serialize as IEEE-754 bit patterns, and fault actions as
     parseable tags (["recovered:3"], not prose), so a restored
     supervisor continues — and logs — bit-identically. *)
 

@@ -360,6 +360,131 @@ let suite =
         Alcotest.(check int) "failure accounted" 1 failures;
         Alcotest.(check int) "data_loss flag raised" 1
           (jint [ "data_loss"; "checkpoint_write_failures" ] (M.snapshot m)));
+    case "failed save leaves the previous artifact loadable and unchanged"
+      (fun () ->
+        let g = chain_graph () in
+        let sim = Sim.create g in
+        ignore (Sim.step sim [ ("x", D.int 1) ]);
+        let before = K.capture ~system:"test" sim in
+        ignore (Sim.step sim [ ("x", D.int 2) ]);
+        let after = K.capture ~system:"test" sim in
+        (* a target name at the 255-byte name limit: the artifact itself
+           fits, the temp file beside it (same name plus a suffix) does
+           not, so the save fails before touching the target — a write
+           in place would have replaced it *)
+        let dir = Filename.get_temp_dir_name () in
+        let path = Filename.concat dir (String.make 250 'k') in
+        K.save before (Filename.concat dir "ck-prev.json");
+        Sys.rename (Filename.concat dir "ck-prev.json") path;
+        let m = M.create () in
+        (match K.save ~monitor:m after path with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        let _, _, _, failures = M.checkpoint_stats m in
+        Alcotest.(check int) "failure accounted" 1 failures;
+        let reloaded = K.load path in
+        Sys.remove path;
+        Alcotest.(check bool) "previous artifact unchanged" true
+          (K.equal before reloaded);
+        Alcotest.(check bool) "not the failed one" false (K.equal after reloaded));
+    case "failed rename removes the temp file" (fun () ->
+        let sim = Sim.create (chain_graph ()) in
+        let ck = K.capture ~system:"test" sim in
+        (* the target is a non-empty directory: the temp file is written
+           and fsynced, then the rename over the target fails *)
+        let dir = Filename.temp_file "ck-dir" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        let target = Filename.concat dir "ck.json" in
+        Sys.mkdir target 0o755;
+        let inner = Filename.concat target "keep" in
+        close_out (open_out inner);
+        let m = M.create () in
+        (match K.save ~monitor:m ck target with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        let left = Sys.readdir dir in
+        Sys.remove inner;
+        Sys.rmdir target;
+        Sys.rmdir dir;
+        Alcotest.(check (list string)) "only the target remains" [ "ck.json" ]
+          (Array.to_list left);
+        let _, _, _, failures = M.checkpoint_stats m in
+        Alcotest.(check int) "failure accounted" 1 failures);
+    case "latest artifact ignores a temp file left by a killed save" (fun () ->
+        let sim = Sim.create (chain_graph ()) in
+        let ck = K.capture ~system:"test" sim in
+        let dir = Filename.temp_file "ck-latest" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        let file f = Filename.concat dir f in
+        K.save ck (file "checkpoint-3.json");
+        K.save ck (file "checkpoint-12.json");
+        (* a writer killed between open and rename: a torn, newer temp *)
+        let oc = open_out (file "checkpoint-16.json.4242.tmp") in
+        output_string oc "{\"torn";
+        close_out oc;
+        close_out (open_out (file "checkpoint-abort.json"));
+        let latest = K.latest dir in
+        Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+        Sys.rmdir dir;
+        Alcotest.(check (option (pair int string)))
+          "newest complete artifact"
+          (Some (12, file "checkpoint-12.json"))
+          latest);
+    case "recorded write seconds are wall time covering the write" (fun () ->
+        (* a second domain spins while the artifact is written: process
+           CPU time then runs faster than the wall clock, so a CPU-time
+           reading would exceed the wall-clock interval around [save] *)
+        let sim = Sim.create (chain_graph ()) in
+        ignore (Sim.step sim [ ("x", D.int 1) ]);
+        let ck =
+          K.capture ~system:"test"
+            ~machine:(J.Str (String.make (4 * 1024 * 1024) 'm'))
+            sim
+        in
+        let path = Filename.temp_file "ck-wall" ".json" in
+        let stop = Atomic.make false in
+        let spinner =
+          Domain.spawn (fun () ->
+              let n = ref 0 in
+              while not (Atomic.get stop) do
+                incr n
+              done;
+              !n)
+        in
+        let m = M.create () in
+        let t0 = Unix.gettimeofday () in
+        K.save ~monitor:m ck path;
+        let outer = Unix.gettimeofday () -. t0 in
+        Atomic.set stop true;
+        ignore (Domain.join spinner);
+        let size = (Unix.stat path).Unix.st_size in
+        Sys.remove path;
+        let writes, bytes, seconds, _ = M.checkpoint_stats m in
+        Alcotest.(check int) "one write" 1 writes;
+        Alcotest.(check int) "bytes are the file size" size bytes;
+        Alcotest.(check bool) "a write takes time" true (seconds > 0.);
+        Alcotest.(check bool)
+          (Printf.sprintf "inside the wall interval (%.6f <= %.6f)" seconds
+             outer)
+          true (seconds <= outer));
+    case "save allocates the same on every write" (fun () ->
+        (* benchmarks fingerprint host allocation run to run, so a save
+           must not allocate data-dependently (a random temp name does) *)
+        let sim = Sim.create (chain_graph ()) in
+        ignore (Sim.step sim [ ("x", D.int 1) ]);
+        let ck = K.capture ~system:"test" sim in
+        let path = Filename.temp_file "ck-alloc" ".json" in
+        let words () =
+          let w0 = Gc.minor_words () in
+          K.save ~monitor:(M.create ()) ck path;
+          Gc.minor_words () -. w0
+        in
+        let first = words () in
+        let all_equal = List.for_all (fun _ -> words () = first) (List.init 60 Fun.id) in
+        Sys.remove path;
+        Alcotest.(check bool) "identical minor words per save" true all_equal);
     case "of_json rejects an unsupported version" (fun () ->
         let sim = Sim.create (chain_graph ()) in
         let ck = K.capture ~system:"test" sim in

@@ -98,6 +98,56 @@ let cyclic_graph () =
   G.connect g ~src:(G.out_port m 0) ~dst:(G.in_port y 0);
   g
 
+(* Kernels that trap on data: [trip] (a [Block.map1]) raises whenever
+   [trips] holds for its input, and the mux's select turns non-boolean
+   on multiples of 4. Both compile to kernel steps, so on the supervised
+   fused lane they run unguarded and a trap is replayed under
+   [Supervisor.guard]. A delay feeds the sum back, so held and absent
+   values persist across instants. *)
+let trap_graph ~trips =
+  let g = G.create "trap-kernels" in
+  let x = G.add_input g "x" in
+  let f = G.add_block g (B.fork 3) in
+  G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port f 0);
+  let trip =
+    G.add_block g
+      (B.map1 ~name:"trip" (function
+        | Dt.Int n when trips n -> failwith "trip: data-dependent trap"
+        | Dt.Int n -> Dt.Int (2 * n)
+        | v -> v))
+  in
+  G.connect g ~src:(G.out_port f 0) ~dst:(G.in_port trip 0);
+  let sel =
+    G.add_block g
+      (B.map1 ~name:"sel" (function
+        | Dt.Int n when n mod 4 = 0 -> Dt.Int n
+        | Dt.Int n -> Dt.Bool (n mod 2 = 0)
+        | v -> v))
+  in
+  G.connect g ~src:(G.out_port f 1) ~dst:(G.in_port sel 0);
+  let ng = G.add_block g B.neg in
+  G.connect g ~src:(G.out_port f 2) ~dst:(G.in_port ng 0);
+  let tf = G.add_block g (B.fork 2) in
+  G.connect g ~src:(G.out_port trip 0) ~dst:(G.in_port tf 0);
+  let m = G.add_block g B.mux in
+  G.connect g ~src:(G.out_port sel 0) ~dst:(G.in_port m 0);
+  G.connect g ~src:(G.out_port tf 0) ~dst:(G.in_port m 1);
+  G.connect g ~src:(G.out_port ng 0) ~dst:(G.in_port m 2);
+  let a = G.add_block g B.add in
+  G.connect g ~src:(G.out_port m 0) ~dst:(G.in_port a 0);
+  let d = G.add_delay g ~init:(D.int 0) in
+  G.connect g ~src:(G.out_port d 0) ~dst:(G.in_port a 1);
+  let af = G.add_block g (B.fork 2) in
+  G.connect g ~src:(G.out_port a 0) ~dst:(G.in_port af 0);
+  G.connect g ~src:(G.out_port af 0) ~dst:(G.in_port d 0);
+  let y = G.add_output g "y" in
+  G.connect g ~src:(G.out_port af 1) ~dst:(G.in_port y 0);
+  let t = G.add_output g "t" in
+  G.connect g ~src:(G.out_port tf 1) ~dst:(G.in_port t 0);
+  g
+
+let count_stream n = List.init n (fun t -> [ ("x", D.int (t + 1)) ])
+
 let int_stream n = List.init n (fun t -> [ ("x", D.int (3 * t - 7)) ])
 
 let run_strategy ?strategy g stream =
@@ -128,6 +178,63 @@ let run_injected ~strategy ~policy specs g stream =
   with
   | trace -> Finished (trace, List.length (S.faults sup))
   | exception S.Fatal f -> Fatal_at (f.S.f_instant, f.S.f_block)
+
+(* Outputs, rendered fault log, quarantine set, fatal (instant, block)
+   and the supervisor's checkpoint state after every instant of one
+   supervised run. *)
+let run_supervised ~strategy ~policy ?(escalate_after = 3) g stream =
+  let sup = S.create ~policy ~escalate_after () in
+  let sim = Asr.Simulate.create ~strategy ~supervisor:sup g in
+  let outs = ref [] and states = ref [] in
+  let fatal =
+    match
+      List.iter
+        (fun i ->
+          outs := Asr.Simulate.step sim i :: !outs;
+          states := Telemetry.Json.to_string (S.state_json sup) :: !states)
+        stream
+    with
+    | () -> None
+    | exception S.Fatal f -> Some (f.S.f_instant, f.S.f_block)
+  in
+  ( List.rev !outs,
+    List.map S.fault_to_string (S.faults sup),
+    S.quarantined_blocks sup,
+    fatal,
+    List.rev !states )
+
+let policies = [ S.Hold_last; S.Absent; S.Retry 2; S.Fail_fast ]
+
+(* The same int kernel, as a plain data kernel that traps whenever its
+   operands sum to a multiple of 3: still a kernel step on the fused
+   lane, so its faults take the replay path. *)
+let trapping b =
+  let trips = function Dt.Int n -> n mod 3 = 0 | _ -> false in
+  match b.B.kernel with
+  | B.IMap1 (_, f) ->
+      B.map1 ~name:b.B.name (fun x ->
+          if trips x then failwith "trap: multiple of 3" else f x)
+  | B.IMap2 (_, f) ->
+      B.map2 ~name:b.B.name (fun x y ->
+          match (x, y) with
+          | Dt.Int a, Dt.Int c when (a + c) mod 3 = 0 ->
+              failwith "trap: sum is a multiple of 3"
+          | _ -> f x y)
+  | _ -> b
+
+let check_lanes_agree ?escalate_after name g stream =
+  List.iter
+    (fun policy ->
+      let label = Printf.sprintf "%s, %s" name (S.policy_name policy) in
+      let ((_, log, _, _, _) as fused) =
+        run_supervised ~strategy:Fx.Fused ~policy ?escalate_after g stream
+      in
+      let sched =
+        run_supervised ~strategy:Fx.Scheduled ~policy ?escalate_after g stream
+      in
+      Alcotest.(check bool) (label ^ ": faults fired") true (log <> []);
+      Alcotest.(check bool) (label ^ ": fused = scheduled") true (fused = sched))
+    policies
 
 (* ---- suite ------------------------------------------------------- *)
 
@@ -413,4 +520,201 @@ let suite =
           (fun policy ->
             run_injected ~strategy:Fx.Scheduled ~policy specs (g ()) stream
             = run_injected ~strategy:Fx.Fused ~policy specs (g ()) stream)
-          [ S.Hold_last; S.Retry 2 ]) ]
+          [ S.Hold_last; S.Retry 2 ]);
+    case "kernel traps replay under the guard: fused = scheduled" (fun () ->
+        let g = trap_graph ~trips:(fun n -> n mod 3 = 0) in
+        let c = G.compile g in
+        let plan = F.compile c in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " is a kernel step") true
+              (Array.exists
+                 (function
+                   | F.Step (bi, _) ->
+                       let b, _, _ = c.G.c_blocks.(bi) in
+                       b.B.name = name
+                   | F.Generic _ | F.Iterate _ -> false)
+                 plan.F.f_ops))
+          [ "trip"; "sel"; "mux" ];
+        check_lanes_agree "map1 trap + non-boolean select" g (count_stream 14);
+        let _, log, _, _, _ =
+          run_supervised ~strategy:Fx.Fused ~policy:(S.Retry 2) g
+            (count_stream 14)
+        in
+        Alcotest.(check bool) "retries logged" true
+          (List.exists (contains ~substring:"after 2 retries") log);
+        Alcotest.(check bool) "mux select contained" true
+          (List.exists (contains ~substring:"non-boolean select") log));
+    case "kernel fault streak escalates to quarantine on the fused lane"
+      (fun () ->
+        let g = trap_graph ~trips:(fun n -> n >= 5) in
+        let stream = count_stream 12 in
+        check_lanes_agree ~escalate_after:2 "streak" g stream;
+        let outs, log, quarantined, _, _ =
+          run_supervised ~strategy:Fx.Fused ~policy:S.Hold_last
+            ~escalate_after:2 g stream
+        in
+        (* trip last succeeded on x = 4; every later instant, contained
+           and then quarantined, holds that output *)
+        List.iteri
+          (fun t out ->
+            if t >= 4 then
+              Alcotest.(check bool)
+                (Printf.sprintf "instant %d holds trip's last good output" t)
+                true
+                (List.assoc "t" out = D.int 8))
+          outs;
+        Alcotest.(check int) "trip quarantined" 1 (List.length quarantined);
+        Alcotest.(check bool) "escalation logged" true
+          (List.exists (contains ~substring:"escalated") log));
+    case "mid-quarantine checkpoint resumes on the fused kernel lane"
+      (fun () ->
+        let g = trap_graph ~trips:(fun n -> n >= 5) in
+        let stream = count_stream 14 in
+        let make () =
+          let sup = S.create ~policy:S.Hold_last ~escalate_after:2 () in
+          (sup, Asr.Simulate.create ~strategy:Fx.Fused ~supervisor:sup g)
+        in
+        let sup, sim = make () in
+        let at = 8 in
+        let ck = ref None in
+        let outs =
+          List.mapi
+            (fun i inputs ->
+              if i = at then ck := Some (Asr.Checkpoint.capture ~system:"t" sim);
+              Asr.Simulate.step sim inputs)
+            stream
+        in
+        Alcotest.(check bool) "captured mid-quarantine" true
+          (S.quarantined_blocks sup <> []);
+        let ck =
+          Asr.Checkpoint.of_json (Asr.Checkpoint.to_json (Option.get !ck))
+        in
+        let r = Asr.Checkpoint.resume ck g in
+        Alcotest.(check bool) "resumed supervisor is quarantined" true
+          (S.quarantined_blocks (Option.get r.Asr.Checkpoint.r_supervisor)
+          <> []);
+        let routs =
+          List.map (Asr.Simulate.step r.Asr.Checkpoint.r_sim)
+            (List.filteri (fun i _ -> i >= at) stream)
+        in
+        Alcotest.(check bool) "suffix outputs identical" true
+          (routs = List.filteri (fun i _ -> i >= at) outs);
+        Alcotest.(check bool) "final checkpoints identical" true
+          (Asr.Checkpoint.equal
+             (Asr.Checkpoint.capture ~system:"t" sim)
+             (Asr.Checkpoint.capture ~system:"t" r.Asr.Checkpoint.r_sim)));
+    case "a non-monotone opaque block commits its fixed-point outputs"
+      (fun () ->
+        (* Under Chaotic, "flicker" is applied twice an instant: it
+           answers its input times ten when the input is new and ⊥ when
+           it repeats, and traps at x = 2. The lub keeps the defined
+           value in its output net, and committing from the fixed point
+           commits that value (a last-application staging would have
+           committed ⊥), so instant 1 holds 10. *)
+        let seen = ref None and apps = ref 0 in
+        let flicker =
+          B.make ~name:"flicker" ~n_in:1 ~n_out:1 (fun ins ->
+              incr apps;
+              match ins.(0) with
+              | D.Def (Dt.Int 2) -> failwith "flicker: trap"
+              | D.Def (Dt.Int n) when !seen <> Some n ->
+                  seen := Some n;
+                  [| D.int (10 * n) |]
+              | _ -> [| D.Bottom |])
+        in
+        let g = G.create "flicker" in
+        let x = G.add_input g "x" in
+        let b = G.add_block g flicker in
+        G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port b 0);
+        let y = G.add_output g "y" in
+        G.connect g ~src:(G.out_port b 0) ~dst:(G.in_port y 0);
+        let sup = S.create ~policy:S.Hold_last () in
+        let sim = Asr.Simulate.create ~strategy:Fx.Chaotic ~supervisor:sup g in
+        let committed () =
+          match Telemetry.Json.member "committed" (S.state_json sup) with
+          | Some j -> Telemetry.Json.to_string j
+          | None -> Alcotest.fail "no committed outputs"
+        in
+        let expect_10 =
+          Telemetry.Json.(to_string (List [ List [ Asr.Codec.value_json (D.int 10) ] ]))
+        in
+        Alcotest.(check bool) "instant 0 outputs 10" true
+          (Asr.Simulate.step sim [ ("x", D.int 1) ] = [ ("y", D.int 10) ]);
+        Alcotest.(check bool) "re-applied, last answer ⊥" true (!apps >= 2);
+        Alcotest.(check string) "instant 0 commits 10" expect_10 (committed ());
+        Alcotest.(check bool) "instant 1 holds 10" true
+          (Asr.Simulate.step sim [ ("x", D.int 2) ] = [ ("y", D.int 10) ]);
+        Alcotest.(check int) "one fault" 1 (S.fault_count sup);
+        Alcotest.(check string) "still committed" expect_10 (committed ()));
+    case "single-buffer evaluation commits like the simulator" (fun () ->
+        (* Simulate and a standalone caller that reuses one net buffer
+           must commit the same outputs, instant by instant. *)
+        let g = trap_graph ~trips:(fun n -> n mod 3 = 0 || n >= 11) in
+        let stream = count_stream 14 in
+        let sup_a = S.create ~policy:S.Hold_last ~escalate_after:2 () in
+        let sim = Asr.Simulate.create ~strategy:Fx.Fused ~supervisor:sup_a g in
+        let sup_b = S.create ~policy:S.Hold_last ~escalate_after:2 () in
+        let c = G.compile g in
+        let plan = F.compile c in
+        let nets = Array.make c.G.n_nets D.Bottom in
+        let delays = ref (Array.map (fun (_, _, init) -> init) c.G.c_delays) in
+        List.iteri
+          (fun t inputs ->
+            ignore (Asr.Simulate.step sim inputs);
+            let r =
+              Fx.eval c ~inputs ~delay_values:!delays ~strategy:Fx.Fused
+                ~fuse:plan ~nets ~supervisor:sup_b ()
+            in
+            delays := Fx.delay_next c r;
+            Alcotest.(check string)
+              (Printf.sprintf "instant %d supervisor state" t)
+              (Telemetry.Json.to_string (S.state_json sup_a))
+              (Telemetry.Json.to_string (S.state_json sup_b)))
+          stream);
+    case "supervised fused allocates within 1.25x of plain fused" (fun () ->
+        (* The kernel lane allocates only the values it stores: boxing
+           of the nets plain fused keeps in chain locals. Any
+           per-application allocation (a closure, an output array,
+           staging) adds words per block and breaks the bound. *)
+        let g =
+          Workloads.Netgen.generate ~inputs:4 ~delays:4 ~cyclic_ratio:0.04
+            ~seed:1271 ~depth:40 ~width:25 ()
+        in
+        Alcotest.(check bool) "about 10^3 blocks" true
+          (G.block_count g >= 1000);
+        let stream = Workloads.Netgen.stimulus g ~instants:40 in
+        let words_per_instant ?supervisor () =
+          let sim = Asr.Simulate.create ~strategy:Fx.Fused ?supervisor g in
+          List.iter (fun i -> ignore (Asr.Simulate.step sim i)) stream;
+          let w0 = Gc.minor_words () in
+          List.iter (fun i -> ignore (Asr.Simulate.step sim i)) stream;
+          (Gc.minor_words () -. w0) /. float_of_int (List.length stream)
+        in
+        let plain = words_per_instant () in
+        let supervised = words_per_instant ~supervisor:(S.create ()) () in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words supervised vs %.0f plain" supervised
+             plain)
+          true
+          (supervised <= 1.25 *. plain));
+    qcase ~count:60
+      "random systems: kernel traps replay, supervised fused = scheduled"
+      R.arbitrary_spec
+      (fun spec ->
+        (* every other gain/add traps on data, so faults, streaks and
+           quarantines land on the kernel lane's replay path; outputs,
+           fault logs, fatal points and the committed state must match
+           the schedule's guarded applications instant by instant *)
+        let g =
+          G.map_blocks (R.build spec) (fun i b ->
+              if i mod 2 = 0 then trapping b else b)
+        in
+        let stream = R.stimuli spec in
+        List.for_all
+          (fun policy ->
+            run_supervised ~strategy:Fx.Fused ~policy ~escalate_after:2 g
+              stream
+            = run_supervised ~strategy:Fx.Scheduled ~policy ~escalate_after:2
+                g stream)
+          policies) ]
