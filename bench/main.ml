@@ -832,6 +832,7 @@ module Fusion_bench = struct
     f_wall : float;  (* mean s/pass *)
     f_best : float;  (* best s/pass, reset excluded *)
     f_words : float;  (* minor words of one pass (deterministic) *)
+    f_counted : int;  (* sum of asr.block.*.evals after the untimed pass *)
   }
 
   (* Evaluations and outputs from one untimed pass (deterministic,
@@ -839,10 +840,28 @@ module Fusion_bench = struct
      passes of the bare reaction loop, amortizing noise. The simulator —
      and with it the schedule and the fuse plan — is created once:
      plan compilation is setup, not reaction cost. *)
-  let measure ?supervisor g stream ~label ~strategy ~passes =
-    let sim = Asr.Simulate.create ~strategy ?supervisor g in
+  let measure ?supervisor ?monitor ?telemetry g stream ~label ~strategy
+      ~passes =
+    let sim =
+      Asr.Simulate.create ~strategy ?supervisor ?monitor ?telemetry g
+    in
     let outputs = List.map (fun inputs -> Asr.Simulate.step sim inputs) stream in
     let evals = Asr.Simulate.block_evaluations sim in
+    let counted =
+      match telemetry with
+      | None -> 0
+      | Some reg ->
+          List.fold_left
+            (fun acc c ->
+              let n = c.Telemetry.Registry.c_name in
+              if
+                String.starts_with ~prefix:"asr.block." n
+                && String.ends_with ~suffix:".evals" n
+              then acc + c.Telemetry.Registry.c_value
+              else acc)
+            0
+            (Telemetry.Registry.counters reg)
+    in
     Asr.Simulate.reset sim;
     let best = ref infinity and words = ref 0.0 in
     let t0 = Unix.gettimeofday () in
@@ -856,7 +875,7 @@ module Fusion_bench = struct
     let wall = (Unix.gettimeofday () -. t0) /. float_of_int passes in
     ( outputs,
       { f_label = label; f_evals = evals; f_wall = wall; f_best = !best;
-        f_words = !words } )
+        f_words = !words; f_counted = counted } )
 
   type report = {
     w_name : string;
@@ -951,6 +970,10 @@ module Fusion_bench = struct
     s_supervised_ns : float;  (* fused + hold-last supervisor *)
     s_supervised_words : float;
     s_supervised_equal : bool;  (* supervised outputs = fused outputs *)
+    s_observed_ns : float;  (* fused + supervisor + monitor + registry *)
+    s_observed_words : float;
+    s_observed_equal : bool;  (* observed outputs = fused outputs *)
+    s_observed_counted : bool;  (* per-block counters sum to the evals *)
   }
 
   let scaling_row size ~instants =
@@ -978,6 +1001,12 @@ module Fusion_bench = struct
       measure ~supervisor:(S.create ~policy:S.Hold_last ()) g stream
         ~label:"fused+supervisor" ~strategy:Asr.Fixpoint.Fused ~passes
     in
+    let observed_out, observed =
+      measure ~supervisor:(S.create ~policy:S.Hold_last ())
+        ~monitor:(Telemetry.Monitor.create ())
+        ~telemetry:(Telemetry.Registry.create ())
+        g stream ~label:"observed" ~strategy:Asr.Fixpoint.Fused ~passes
+    in
     let n = float_of_int instants in
     { s_blocks = Array.length compiled.G.c_blocks;
       s_nets = compiled.G.n_nets;
@@ -993,7 +1022,11 @@ module Fusion_bench = struct
       s_fused_words = fused.f_words /. n;
       s_supervised_ns = supervised.f_best /. n *. 1e9;
       s_supervised_words = supervised.f_words /. n;
-      s_supervised_equal = supervised_out = fused_out }
+      s_supervised_equal = supervised_out = fused_out;
+      s_observed_ns = observed.f_best /. n *. 1e9;
+      s_observed_words = observed.f_words /. n;
+      s_observed_equal = observed_out = fused_out;
+      s_observed_counted = observed.f_counted = observed.f_evals }
 
   let scaling ~smoke () =
     let sizes =
@@ -1114,17 +1147,23 @@ module Fusion_bench = struct
           (if s.s_equal then "equal" else "DIVERGED"))
       srows;
     print_endline
-      "per instant, fused vs fused + supervisor (hold-last), best of passes:";
+      "per instant, fused vs fused + supervisor (hold-last) vs observed \
+       (supervisor + monitor + registry), best of passes:";
     List.iter
       (fun s ->
         Printf.printf
           "  %7d blocks  fused %11.0f ns %9.0f words  supervised %11.0f ns \
+           %9.0f words  (%.2fx time, %.2fx words)  %s  observed %11.0f ns \
            %9.0f words  (%.2fx time, %.2fx words)  %s\n"
           s.s_blocks s.s_fused_ns s.s_fused_words s.s_supervised_ns
           s.s_supervised_words
           (s.s_supervised_ns /. s.s_fused_ns)
           (s.s_supervised_words /. s.s_fused_words)
-          (if s.s_supervised_equal then "equal" else "DIVERGED"))
+          (if s.s_supervised_equal then "equal" else "DIVERGED")
+          s.s_observed_ns s.s_observed_words
+          (s.s_observed_ns /. s.s_fused_ns)
+          (s.s_observed_words /. s.s_fused_words)
+          (if s.s_observed_equal then "equal" else "DIVERGED"))
       srows;
     Printf.printf
       "\ncontainment (fused + %s): %d injected, %d contained, %d nets in \
@@ -1161,12 +1200,15 @@ module Fusion_bench = struct
         \     \"fused_ns_per_instant\": %.0f, \"fused_words_per_instant\": \
          %.0f, \"supervised_ns_per_instant\": %.0f, \
          \"supervised_words_per_instant\": %.0f, \
-         \"supervised_equal_outputs\": %b}"
+         \"supervised_equal_outputs\": %b,\n\
+        \     \"observed_ns_per_instant\": %.0f, \"observed_words_per_instant\": \
+         %.0f, \"observed_equal_outputs\": %b, \"observed_evals_counted\": %b}"
         s.s_blocks s.s_blocks s.s_nets s.s_folded s.s_cyclic s.s_fuse_compile
         s.s_evals_scheduled s.s_evals_fused s.s_wall_scheduled s.s_wall_fused
         (s.s_wall_scheduled /. s.s_wall_fused)
         s.s_equal s.s_fused_ns s.s_fused_words s.s_supervised_ns
-        s.s_supervised_words s.s_supervised_equal
+        s.s_supervised_words s.s_supervised_equal s.s_observed_ns
+        s.s_observed_words s.s_observed_equal s.s_observed_counted
     in
     Printf.printf
       "{\n\
@@ -1223,7 +1265,14 @@ module Fusion_bench = struct
         if s.s_supervised_words > 1.25 *. s.s_fused_words then
           fail "netgen-%d: supervised fused allocates %.0f words/instant, \
                 > 1.25x fused (%.0f)"
-            s.s_blocks s.s_supervised_words s.s_fused_words)
+            s.s_blocks s.s_supervised_words s.s_fused_words;
+        if not s.s_observed_equal then
+          fail "netgen-%d: observed fused outputs diverge from fused"
+            s.s_blocks;
+        if not s.s_observed_counted then
+          fail "netgen-%d: asr.block.*.evals counters do not sum to the \
+                simulator's block evaluations"
+            s.s_blocks)
       srows;
     if not cont.c_contained_ok then
       fail "%s: containment violated on the fused path (%d injected)"

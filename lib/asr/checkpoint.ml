@@ -208,7 +208,7 @@ let opt_json f = function None -> Json.Null | Some v -> f v
 
 let to_json t =
   Json.Obj
-    [ ("version", Json.Int 1);
+    [ ("version", Json.Int 2);
       ("system", Json.Str t.k_system);
       ("strategy", Json.Str (Fixpoint.strategy_name t.k_strategy));
       ( "policy",
@@ -220,7 +220,6 @@ let to_json t =
       ("evaluations", Json.Int t.k_state.Simulate.st_evaluations);
       ("delays", Codec.vec_json t.k_state.Simulate.st_delays);
       ("nets", Codec.vec_json t.k_state.Simulate.st_nets);
-      ("prev_nets", Codec.vec_json t.k_state.Simulate.st_prev_nets);
       ("supervisor", opt_json Fun.id t.k_supervisor);
       ( "injector",
         opt_json
@@ -261,7 +260,7 @@ let opt_field name j =
 
 let of_json j =
   (match Json.member "version" j with
-  | Some (Json.Int 1) -> ()
+  | Some (Json.Int 2) -> ()
   | _ -> invalid_arg "Checkpoint.of_json: unsupported checkpoint version");
   let strategy =
     match Fixpoint.strategy_of_string (str_field "strategy" j) with
@@ -290,8 +289,7 @@ let of_json j =
       { Simulate.st_instant = int_field "instant" j;
         st_evaluations = int_field "evaluations" j;
         st_delays = Codec.vec_of_json "delays" (field "delays" j);
-        st_nets = Codec.vec_of_json "nets" (field "nets" j);
-        st_prev_nets = Codec.vec_of_json "prev_nets" (field "prev_nets" j) };
+        st_nets = Codec.vec_of_json "nets" (field "nets" j) };
     k_supervisor = opt_field "supervisor" j;
     k_injector =
       Option.map
@@ -314,49 +312,14 @@ let of_json j =
 
 (* ------------------------------ disk ------------------------------ *)
 
-(* Makes a rename in [dir] durable. Filesystems that cannot sync a
-   directory answer EINVAL; there the rename is as durable as it gets. *)
-let fsync_dir dir =
-  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
-
-(* [save] is atomic: the artifact goes to a temp file beside the
-   target, is fsynced, and is renamed over the target, whose directory
-   is then fsynced, so a crash or a failed write never leaves a
-   truncated checkpoint where the previous one was. It feeds the monitor's checkpoint-write accounting:
-   byte volume and wall-clock write time on success, the data-loss
-   failure flag on failure. A failure removes the temp file and raises
-   [Sys_error] (the caller decides whether a failed write is fatal). *)
+(* [save] is atomic ({!Codec.write_atomic}). It feeds the monitor's
+   checkpoint-write accounting: byte volume and wall-clock write time on
+   success, the data-loss failure flag on failure (the caller decides
+   whether a failed write is fatal). *)
 let save ?monitor t path =
   let payload = Json.to_string (to_json t) in
   let t0 = Unix.gettimeofday () in
-  let tmp = ref None in
-  match
-    (* A per-process name rather than [Filename.open_temp_file]'s
-       random one, whose formatting allocates a varying number of words
-       — save must allocate the same every time (benchmarks fingerprint
-       allocation). Permissions are 0o666 under the umask, as [open_out]
-       would create the target. *)
-    let name = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-    let oc =
-      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666
-        name
-    in
-    tmp := Some name;
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc payload;
-        output_char oc '\n';
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Unix.rename name path;
-    tmp := None;
-    fsync_dir (Filename.dirname path)
-  with
+  match Codec.write_atomic path payload with
   | () ->
       Option.iter
         (fun m ->
@@ -364,14 +327,9 @@ let save ?monitor t path =
             ~bytes:(String.length payload + 1)
             ~seconds:(Float.max 0. (Unix.gettimeofday () -. t0)))
         monitor
-  | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
-      Option.iter (fun name -> try Sys.remove name with Sys_error _ -> ()) !tmp;
+  | exception (Sys_error _ as e) ->
       Option.iter Monitor.checkpoint_write_failed monitor;
-      raise
-        (match e with
-        | Unix.Unix_error (err, fn, _) ->
-            Sys_error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message err))
-        | e -> e)
+      raise e
 
 (* [%!] anchors the name, so a temp file an interrupted save left
    behind ([checkpoint-N.json.<pid>.tmp]) never counts as checkpoint N. *)
@@ -384,11 +342,4 @@ let latest dir =
       | _ -> best)
     None (Sys.readdir dir)
 
-let load path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_json (Json.parse contents)
+let load path = of_json (Codec.read_json path)

@@ -1,9 +1,12 @@
 (** Durable checkpoints: deep snapshot/restore of the complete
-    simulation state, serialized to a versioned on-disk JSON artifact.
+    simulation state, serialized to a versioned on-disk JSON artifact
+    (version 2: the fixed point is stored once, and the supervisor's
+    streaks and quarantine set are sparse; version-1 artifacts are
+    refused as unsupported).
 
     A checkpoint taken between instants captures everything the rest of
     the run depends on — the simulator registers ({!Simulate.state}:
-    delays, last fixed point, churn reference, counters), the
+    delays, last fixed point, counters), the
     supervisor's inter-instant state (committed outputs, fault streaks,
     quarantine set, retry counters, capped fault log), the fault
     injector's clock, the telemetry registry's counters, the monitor's
@@ -103,8 +106,9 @@ val equal : t -> t -> bool
 (** Bit-exact artifact equality (serialized-form comparison). *)
 
 val save : ?monitor:Telemetry.Monitor.t -> t -> string -> unit
-(** Write the artifact atomically: to [<path>.<pid>.tmp], fsynced,
-    then renamed over [path], whose directory is fsynced — a failed or
+(** Write the artifact atomically ({!Codec.write_atomic}): to
+    [<path>.<pid>.tmp], fsynced, then renamed over [path], whose
+    directory is fsynced — a failed or
     interrupted write leaves the previous artifact intact and
     loadable. When a monitor is passed,
     feeds its checkpoint-write accounting: bytes and wall-clock seconds

@@ -106,3 +106,58 @@ let spec_of_json j : Inject.spec =
     i_persistence = persistence;
     i_first_only = first_only;
   }
+
+(* ------------------------------ disk ------------------------------ *)
+
+(* Makes a rename in [dir] durable. Filesystems that cannot sync a
+   directory answer EINVAL; there the rename is as durable as it gets. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+
+(* The payload goes to a temp file beside the target, is fsynced, and
+   is renamed over the target, whose directory is then fsynced, so a
+   crash or a failed write never leaves a truncated artifact where the
+   previous one was. A per-process temp name rather than
+   [Filename.open_temp_file]'s random one, whose formatting allocates a
+   varying number of words — a write must allocate the same every time
+   (benchmarks fingerprint allocation). Permissions are 0o666 under the
+   umask, as [open_out] would create the target. *)
+let write_atomic path payload =
+  let tmp = ref None in
+  try
+    let name = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+    let oc =
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666
+        name
+    in
+    tmp := Some name;
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc payload;
+        output_char oc '\n';
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Unix.rename name path;
+    tmp := None;
+    fsync_dir (Filename.dirname path)
+  with (Sys_error _ | Unix.Unix_error _) as e ->
+    Option.iter (fun name -> try Sys.remove name with Sys_error _ -> ()) !tmp;
+    raise
+      (match e with
+      | Unix.Unix_error (err, fn, _) ->
+          Sys_error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message err))
+      | e -> e)
+
+let read_json path =
+  let ic = open_in_bin path in
+  let contents =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Json.parse contents

@@ -32,3 +32,18 @@ val malformed : string -> 'a
 (** [malformed what] raises [Invalid_argument] naming the offending
     construct; exposed so artifact parsers built on this codec report
     errors uniformly. *)
+
+(** {2 Artifact files} *)
+
+val write_atomic : string -> string -> unit
+(** [write_atomic path payload] writes [payload] and a newline to
+    [path] atomically: to [<path>.<pid>.tmp], fsynced, then renamed
+    over [path], whose directory is fsynced — a failed or interrupted
+    write leaves the previous file intact. On failure the temp file is
+    removed and [Sys_error] is raised. The temp name is per process,
+    not random, so repeated writes of one payload to one path allocate
+    the same. *)
+
+val read_json : string -> Telemetry.Json.t
+(** Parse a whole file. Raises [Sys_error] on I/O errors and
+    [Telemetry.Json.Parse_error] on bad contents. *)

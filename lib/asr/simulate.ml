@@ -12,7 +12,8 @@ type t = {
   fuse : Fuse.t option;  (* precompiled plan, Some iff strategy = Fused *)
   buffers : Fixpoint.buffers;
   order : int array option;
-  nets_buffer : Domain.t array;
+  mutable nets_buffer : Domain.t array;  (* last fixed point *)
+  mutable spare : Domain.t array;  (* churned instants land here *)
   mutable delays : Domain.t array;
   mutable instant : int;
   mutable evaluations : int;
@@ -21,8 +22,7 @@ type t = {
   monitor : Telemetry.Monitor.t option;
   causal : Domain.t Telemetry.Causal.t option;
   mon_churn_k : int;  (* Monitor.churn_every, hoisted; 0 w/o monitor *)
-  eval_counts : int array;  (* per-block tally buffer, [||] w/o telemetry *)
-  prev_nets : Domain.t array;  (* last fixed point, for churn; [||] w/o sinks *)
+  eval_counts : int array;  (* zeroed by each flush; [||] w/o telemetry *)
   block_counters : Telemetry.Registry.counter array;
 }
 
@@ -82,6 +82,10 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
     buffers = Fixpoint.make_buffers compiled;
     order;
     nets_buffer = Array.make compiled.Graph.n_nets Domain.Bottom;
+    spare =
+      (match (telemetry, monitor) with
+      | Some _, _ | _, Some _ -> Array.make compiled.Graph.n_nets Domain.Bottom
+      | None, None -> [||]);
     delays = initial_delays compiled;
     instant = 0;
     evaluations = 0;
@@ -97,10 +101,6 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
       (match telemetry with
       | Some _ -> Array.make n_blocks 0
       | None -> [||]);
-    prev_nets =
-      (match (telemetry, monitor) with
-      | Some _, _ | _, Some _ -> Array.make compiled.Graph.n_nets Domain.Bottom
-      | None, None -> [||]);
     block_counters =
       (match telemetry with
       | Some reg ->
@@ -111,7 +111,7 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
             compiled.Graph.c_blocks
       | None -> [||]) }
 
-(* One instant: run the fixed point into the reused net buffer, harvest
+(* One instant: run the fixed point into a reused net buffer, harvest
    outputs and the next delay state before the buffer is recycled. *)
 let react t inputs =
   let tele =
@@ -120,9 +120,7 @@ let react t inputs =
     | _ -> None
   in
   (match tele with
-  | Some reg ->
-      Telemetry.Registry.enter reg ~cat:"asr" "instant";
-      Array.fill t.eval_counts 0 (Array.length t.eval_counts) 0
+  | Some reg -> Telemetry.Registry.enter reg ~cat:"asr" "instant"
   | None -> ());
   (match t.monitor with
   | Some mon -> Telemetry.Monitor.instant_begin mon
@@ -130,36 +128,35 @@ let react t inputs =
   (match t.supervisor with
   | Some sup -> Supervisor.begin_instant sup
   | None -> ());
-  let result =
-    Fixpoint.eval t.compiled ~inputs ~delay_values:t.delays ?order:t.order
-      ~strategy:t.strategy ~schedule:t.schedule ?fuse:t.fuse
-      ~buffers:t.buffers ~nets:t.nets_buffer
-      ~eval_counts:(match tele with Some _ -> t.eval_counts | None -> [||])
-      ?supervisor:t.supervisor ?causal:t.causal ()
-  in
   (* churn — nets whose fixed point differs from the previous instant's —
-     is shared by the telemetry span and the monitor record; the scan is
-     O(nets), so with only a monitor attached it runs every
-     [Monitor.churn_every] instants (the record then means "nets changed
-     since the previous sample") to stay inside the always-on budget *)
-  (* the sample closes a uniform k-instant window — instants k-1,
-     2k-1, ... — rather than opening one at instant 0, so short runs
-     (fewer than k instants) never pay the scan at all *)
+     feeds the telemetry span and the monitor record. The O(nets) scan
+     runs every instant with telemetry, else every [Monitor.churn_every]
+     instants, at instants k-1, 2k-1, ... so runs shorter than k never
+     pay it. A churned instant settles into [spare] and is compared,
+     read-only, with [nets_buffer] (the last fixed point); the buffers
+     then swap, so nothing is copied. *)
   let want_churn =
     tele <> None
     || (t.mon_churn_k > 0 && (t.instant + 1) mod t.mon_churn_k = 0)
   in
+  let nets = if want_churn then t.spare else t.nets_buffer in
+  let result =
+    Fixpoint.eval t.compiled ~inputs ~delay_values:t.delays ?order:t.order
+      ~strategy:t.strategy ~schedule:t.schedule ?fuse:t.fuse
+      ~buffers:t.buffers ~nets
+      ~eval_counts:(match tele with Some _ -> t.eval_counts | None -> [||])
+      ?supervisor:t.supervisor ?causal:t.causal ()
+  in
   let churn =
     if not want_churn then 0
     else begin
-      let c = ref 0 in
-      Array.iteri
-        (fun i v ->
-          if not (Domain.equal v t.prev_nets.(i)) then begin
-            incr c;
-            t.prev_nets.(i) <- v
-          end)
-        result.Fixpoint.nets;
+      let last = t.nets_buffer and c = ref 0 in
+      for i = 0 to Array.length nets - 1 do
+        let v = Array.unsafe_get nets i and w = Array.unsafe_get last i in
+        if v != w && not (Domain.equal v w) then incr c
+      done;
+      t.nets_buffer <- nets;
+      t.spare <- last;
       !c
     end
   in
@@ -185,9 +182,14 @@ let react t inputs =
   t.evaluations <- t.evaluations + result.Fixpoint.block_evaluations;
   (match tele with
   | Some reg ->
-      Array.iteri
-        (fun bi n -> if n > 0 then Telemetry.Registry.add t.block_counters.(bi) n)
-        t.eval_counts;
+      let counts = t.eval_counts in
+      for bi = 0 to Array.length counts - 1 do
+        let n = Array.unsafe_get counts bi in
+        if n > 0 then begin
+          Telemetry.Registry.add t.block_counters.(bi) n;
+          Array.unsafe_set counts bi 0
+        end
+      done;
       Telemetry.Registry.count reg "asr.instants" 1;
       Telemetry.Registry.count reg "asr.block_evaluations"
         result.Fixpoint.block_evaluations;
@@ -251,7 +253,6 @@ type state = {
   st_evaluations : int;
   st_delays : Domain.t array;
   st_nets : Domain.t array;
-  st_prev_nets : Domain.t array;
 }
 
 (* Why this is the complete simulator-side state: a fresh simulator is
@@ -259,16 +260,16 @@ type state = {
    template slots from [f_template] each instant, and the plain paths
    refill from ⊥), so everything an instant's outcome depends on is
    the delay registers, the last fixed point ([nets_buffer] — what
-   [net_values] reports between instants), the churn reference
-   ([prev_nets]) and the two counters. Attachment state (supervisor,
-   monitor, causal, registry) is checkpointed by the attachments
-   themselves. *)
+   [net_values] reports between instants, and the reference the next
+   churn is counted against) and the two counters. [spare] carries no
+   state: every churned instant overwrites it. Attachment state
+   (supervisor, monitor, causal, registry) is checkpointed by the
+   attachments themselves. *)
 let export_state t =
   { st_instant = t.instant;
     st_evaluations = t.evaluations;
     st_delays = Array.copy t.delays;
-    st_nets = Array.copy t.nets_buffer;
-    st_prev_nets = Array.copy t.prev_nets }
+    st_nets = Array.copy t.nets_buffer }
 
 let import_state t st =
   if Array.length st.st_delays <> Array.length t.delays then
@@ -278,22 +279,14 @@ let import_state t st =
   t.instant <- st.st_instant;
   t.evaluations <- st.st_evaluations;
   Array.blit st.st_delays 0 t.delays 0 (Array.length st.st_delays);
-  Array.blit st.st_nets 0 t.nets_buffer 0 (Array.length st.st_nets);
-  (* [prev_nets] is [||] on a simulator without churn sinks; when both
-     sides track churn the reference must transfer for bit-identical
-     churn counts. A checkpoint from a sink-less simulator restored
-     into a sink-ful one starts churn from the restored fixed point. *)
-  let n = min (Array.length st.st_prev_nets) (Array.length t.prev_nets) in
-  if n < Array.length t.prev_nets then
-    Array.blit st.st_nets 0 t.prev_nets 0 (Array.length t.prev_nets)
-  else Array.blit st.st_prev_nets 0 t.prev_nets 0 n
+  Array.blit st.st_nets 0 t.nets_buffer 0 (Array.length st.st_nets)
 
 let reset t =
   t.delays <- initial_delays t.compiled;
   t.instant <- 0;
   t.evaluations <- 0;
   Array.fill t.nets_buffer 0 (Array.length t.nets_buffer) Domain.Bottom;
-  Array.fill t.prev_nets 0 (Array.length t.prev_nets) Domain.Bottom;
+  Array.fill t.spare 0 (Array.length t.spare) Domain.Bottom;
   (match t.supervisor with
   | Some sup -> Supervisor.reset sup
   | None -> ())

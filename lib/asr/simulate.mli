@@ -3,8 +3,10 @@
     ASR systems are reactive — the environment initiates every instant
     by presenting inputs; with no input the system sits idle (paper §3).
     The simulator owns the delay state between instants, compiles the
-    evaluation {!Schedule} once at creation, and reuses one net buffer
-    across instants instead of allocating per reaction. *)
+    evaluation {!Schedule} once at creation, and reuses its net buffers
+    across instants instead of allocating per reaction: one without
+    churn sinks, two swapped on churned instants otherwise (see
+    [telemetry] / [monitor] below). *)
 
 type t
 
@@ -52,12 +54,16 @@ val create :
     {!Telemetry.Monitor.instant_begin} / [instant_end], recording one
     flight-recorder entry per instant (iterations, block evaluations,
     net churn, faults) and feeding the streaming sketches and windows.
-    With only a monitor attached, the O(nets) churn scan runs every
-    [Telemetry.Monitor.churn_every] instants rather than every instant
-    (records between samples carry churn 0, the sampled record carries
-    "nets changed since the previous sample") — always-on monitoring
-    must not scale per-instant cost with net count; with [telemetry]
-    also enabled churn is exact every instant.
+    Churn always means "nets whose fixed point this instant differs
+    from the previous instant's". With only a monitor attached, the
+    O(nets) churn scan runs every [Telemetry.Monitor.churn_every]
+    instants rather than every instant (records between samples carry
+    churn 0, a sampled record carries that instant's exact churn) —
+    always-on monitoring must not scale per-instant cost with net
+    count; with [telemetry] also enabled churn is counted every
+    instant. A churned instant settles into a spare net buffer and is
+    compared, read-only, with the previous fixed point; the two
+    buffers then swap, so no fixed point is ever copied.
     The record is pushed {e before} [Supervisor.end_instant], so a
     quarantine escalation's flight dump covers the instant that
     triggered it. With both [monitor] and [supervisor], the simulator
@@ -120,9 +126,10 @@ val reset : t -> unit
 (** {2 Checkpoint state}
 
     The complete simulator-side state between instants: delay
-    registers, last fixed point, churn reference, and the two
-    counters. A fresh simulator with this state imported reacts
-    bit-identically to the one exported from — attachment state
+    registers, last fixed point (also the reference the next
+    instant's churn is counted against), and the two counters. A fresh
+    simulator with this state imported reacts bit-identically to the
+    one exported from — attachment state
     (supervisor, monitor, causal log, registry) travels separately via
     the attachments' own checkpoint hooks (see {!Checkpoint}). *)
 
@@ -131,7 +138,6 @@ type state = {
   st_evaluations : int;
   st_delays : Domain.t array;
   st_nets : Domain.t array;
-  st_prev_nets : Domain.t array;  (** [[||]] without churn sinks *)
 }
 
 val export_state : t -> state

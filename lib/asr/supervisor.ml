@@ -503,23 +503,28 @@ let fault_of_json j =
    (good-output and containment stamps, application counts, ...) expire
    when the next instant opens, so a checkpoint taken between instants
    never needs them. Codec reals ride as IEEE-754 bit patterns via
-   [Codec]. *)
+   [Codec]. Streaks and the quarantine set are sparse — only blocks off
+   their default (streak 0, not quarantined) are listed, in block
+   order: [consec] as [[block, streak]] pairs, [quarantined] as block
+   indices. *)
 let state_json t =
   if t.in_instant then
     invalid_arg "Supervisor.state_json: instant open";
   let vec a = Json.List (Array.to_list (Array.map Codec.value_json a)) in
-  let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
-  let bools a =
-    Json.List (Array.to_list (Array.map (fun b -> Json.Bool b) a))
-  in
+  let consec = ref [] and quarantined = ref [] in
+  for bi = Array.length t.consec - 1 downto 0 do
+    if t.consec.(bi) <> 0 then
+      consec := Json.List [ Json.Int bi; Json.Int t.consec.(bi) ] :: !consec;
+    if t.quarantined.(bi) then quarantined := Json.Int bi :: !quarantined
+  done;
   Json.Obj
     [ ("policy", Json.Str (policy_name t.policy));
       ("escalate_after", Json.Int t.escalate_after);
       ("instant", Json.Int t.instant);
       ( "committed",
         Json.List (Array.to_list (Array.map vec t.committed)) );
-      ("consec", ints t.consec);
-      ("quarantined", bools t.quarantined);
+      ("consec", Json.List !consec);
+      ("quarantined", Json.List !quarantined);
       ("total_faults", Json.Int t.total_faults);
       ("total_recovered", Json.Int t.total_recovered);
       ("dropped_log", Json.Int t.dropped_log);
@@ -559,27 +564,23 @@ let restore_state t j =
         state_malformed "committed (arity)";
       Array.blit v 0 t.committed.(bi) 0 (Array.length v))
     committed;
-  let fill_ints name dst =
+  let sparse name set =
     match Json.member name j with
-    | Some (Json.List l) when List.length l = t.n_blocks ->
-        List.iteri
-          (fun i v ->
-            match v with
-            | Json.Int n -> dst.(i) <- n
-            | _ -> state_malformed name)
-          l
+    | Some (Json.List l) -> List.iter set l
     | _ -> state_malformed name
   in
-  fill_ints "consec" t.consec;
-  (match Json.member "quarantined" j with
-  | Some (Json.List l) when List.length l = t.n_blocks ->
-      List.iteri
-        (fun i v ->
-          match v with
-          | Json.Bool b -> t.quarantined.(i) <- b
-          | _ -> state_malformed "quarantined")
-        l
-  | _ -> state_malformed "quarantined");
+  let block name = function
+    | Json.Int bi when bi >= 0 && bi < t.n_blocks -> bi
+    | _ -> state_malformed (name ^ " (block index)")
+  in
+  Array.fill t.consec 0 t.n_blocks 0;
+  sparse "consec" (function
+    | Json.List [ bi; Json.Int n ] when n > 0 ->
+        t.consec.(block "consec" bi) <- n
+    | _ -> state_malformed "consec");
+  Array.fill t.quarantined 0 t.n_blocks false;
+  sparse "quarantined" (fun bi ->
+      t.quarantined.(block "quarantined" bi) <- true);
   t.instant <- int_member "instant" j;
   t.total_faults <- int_member "total_faults" j;
   t.total_recovered <- int_member "total_recovered" j;

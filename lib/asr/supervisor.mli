@@ -206,7 +206,10 @@ val reset : t -> unit
     the next instant opens, so a checkpoint taken between instants never
     needs it. Reals serialize as IEEE-754 bit patterns, and fault actions as
     parseable tags (["recovered:3"], not prose), so a restored
-    supervisor continues — and logs — bit-identically. *)
+    supervisor continues — and logs — bit-identically. Streaks and
+    quarantine flags are sparse: [consec] lists [[block, streak]] pairs
+    for nonzero streaks and [quarantined] lists quarantined block
+    indices, both in block order. *)
 
 val state_json : t -> Telemetry.Json.t
 (** Raises [Invalid_argument] when called mid-instant. *)
@@ -214,7 +217,8 @@ val state_json : t -> Telemetry.Json.t
 val restore_state : t -> Telemetry.Json.t -> unit
 (** Restore into an {!attach}ed supervisor created with the same policy
     and escalation threshold (both are checked; mismatch raises
-    [Invalid_argument], as does malformed input). *)
+    [Invalid_argument], as does malformed input — including a block
+    index outside the attached graph or a streak below 1). *)
 
 (** {2 Names} *)
 

@@ -566,19 +566,6 @@ let of_json j =
     t_log = None;
   }
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')
+let save t path = Codec.write_atomic path (Json.to_string (to_json t))
 
-let load path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_json (Json.parse contents)
+let load path = of_json (Codec.read_json path)

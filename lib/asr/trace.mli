@@ -190,7 +190,10 @@ val of_json : Telemetry.Json.t -> t
     version-incompatible input. *)
 
 val save : t -> string -> unit
-(** Write the serialized trace (one JSON object, trailing newline). *)
+(** Write the serialized trace (one JSON object, trailing newline)
+    atomically ({!Codec.write_atomic}): a failed or interrupted save
+    leaves the previous trace at [path] intact and loadable, and
+    removes its temp file. Failures raise [Sys_error]. *)
 
 val load : string -> t
 (** {!of_json} of a file's contents. Raises [Sys_error] on I/O errors,

@@ -64,11 +64,13 @@ val create :
     churn comparison is O(nets) per instant — fine for the batch
     telemetry registry, but it would dominate an always-on monitor on
     large fused nets. The simulator therefore runs the full scan only
-    every [churn_every] instants when the monitor is the sole consumer
-    (a record's [r_net_churn] then means "nets changed since the
-    previous churn sample", 0 between samples); with the full telemetry
-    registry also attached the scan already runs every instant and
-    churn is exact. [0] disables sampling entirely. *)
+    every [churn_every] instants when the monitor is the sole consumer:
+    a sampled record's [r_net_churn] is the exact churn of that instant
+    (nets changed since the previous instant), records between samples
+    carry 0, so the cumulative churn is a [1/churn_every] sample of the
+    exact total. With the full telemetry registry also attached the
+    scan already runs every instant and every record is exact. [0]
+    disables sampling entirely. *)
 
 (** {2 Instant lifecycle (driven by the simulator)} *)
 

@@ -579,4 +579,155 @@ let suite =
         Alcotest.(check int) "next instant accumulates once" 8 (apply 3);
         new_instant ();
         Alcotest.(check int) "and again" 9 (apply 1));
+
+    (* ---- atomic trace writes (shared artifact writer) ---- *)
+    case "failed trace save leaves the previous trace and no temp file"
+      (fun () ->
+        let g = chain_graph () in
+        let before = Asr.Trace.record g (chain_stream 3) in
+        let after = Asr.Trace.record g (chain_stream 5) in
+        let dir = Filename.temp_file "trace-atomic" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        (* a target at the 255-byte name limit: the temp file beside it
+           cannot be created, so the save fails before the target is
+           touched — a write in place would have truncated it *)
+        let path = Filename.concat dir (String.make 250 't') in
+        Asr.Trace.save before (Filename.concat dir "prev.json");
+        Sys.rename (Filename.concat dir "prev.json") path;
+        (match Asr.Trace.save after path with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        let reloaded = Asr.Trace.load path in
+        Alcotest.(check bool) "previous trace unchanged" true
+          (Asr.Trace.equal before reloaded);
+        Alcotest.(check bool) "not the failed one" false
+          (Asr.Trace.equal after reloaded);
+        Sys.remove path;
+        (* the target is a non-empty directory: the temp file is
+           written and fsynced, then the rename fails and removes it *)
+        let target = Filename.concat dir "trace.json" in
+        Sys.mkdir target 0o755;
+        let inner = Filename.concat target "keep" in
+        close_out (open_out inner);
+        (match Asr.Trace.save after target with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        let left = Sys.readdir dir in
+        Sys.remove inner;
+        Sys.rmdir target;
+        Sys.rmdir dir;
+        Alcotest.(check (list string)) "temp file removed" [ "trace.json" ]
+          (Array.to_list left));
+
+    (* ---- checkpoint version 2 ---- *)
+    case "of_json refuses a version-1 artifact" (fun () ->
+        let sim = Sim.create ~monitor:(M.create ()) (chain_graph ()) in
+        List.iter (fun i -> ignore (Sim.step sim i)) (chain_stream 3);
+        let ck = K.to_json (K.capture ~system:"test" sim) in
+        Alcotest.(check bool) "fixed point stored once" true
+          (jget [ "prev_nets" ] ck = None && jget [ "nets" ] ck <> None);
+        (* the v1 shape: version 1 and a second copy of the fixed point *)
+        let v1 =
+          match ck with
+          | J.Obj kvs ->
+              J.Obj
+                (List.concat_map
+                   (function
+                     | ("version", _) -> [ ("version", J.Int 1) ]
+                     | ("nets", v) -> [ ("nets", v); ("prev_nets", v) ]
+                     | kv -> [ kv ])
+                   kvs)
+          | _ -> Alcotest.fail "object expected"
+        in
+        let path = Filename.temp_file "ck-v1" ".json" in
+        let oc = open_out path in
+        output_string oc (J.to_string v1);
+        close_out oc;
+        let refused =
+          match K.load path with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        Sys.remove path;
+        Alcotest.(check bool) "v1 refused" true refused);
+    case "sparse supervisor state round-trips mid-quarantine byte-identically"
+      (fun () ->
+        let g = chain_graph () in
+        (* block 0 faults from instant 1 and is quarantined at 2; block 1
+           faults at instant 4 only, leaving a live streak of 1 *)
+        let inject =
+          [ persistent_trap ~block:0 ~instant:1;
+            { (persistent_trap ~block:1 ~instant:4) with
+              I.i_persistence = I.Transient } ]
+        in
+        let sim, injector =
+          attach ~policy:S.Hold_last ~escalate_after:2 ~inject
+            ~strategy:Fx.Fused g
+        in
+        let _ = run_to_end sim injector (chain_stream 5) in
+        let sup = Option.get (Sim.supervisor sim) in
+        let st = S.state_json sup in
+        (match (jget [ "consec" ] st, jget [ "quarantined" ] st) with
+        | Some (J.List consec), Some (J.List q) ->
+            Alcotest.(check (list int)) "streaks listed sparsely" [ 0; 1 ]
+              (List.map
+                 (function
+                   | J.List [ J.Int bi; J.Int n ] when n > 0 -> bi
+                   | _ -> Alcotest.fail "[block, streak] pair expected")
+                 consec);
+            Alcotest.(check bool) "quarantine set listed sparsely" true
+              (q = [ J.Int 0 ])
+        | _ -> Alcotest.fail "consec/quarantined lists expected");
+        let sup' = S.create ~policy:S.Hold_last ~escalate_after:2 () in
+        S.attach sup' (G.compile (I.instrument (I.make inject) g));
+        S.restore_state sup' (J.parse (J.to_string st));
+        Alcotest.(check string) "state identical" (J.to_string st)
+          (J.to_string (S.state_json sup'));
+        Alcotest.(check bool) "quarantine restored" true (S.is_quarantined sup' 0);
+        Alcotest.(check bool) "streak block not quarantined" false
+          (S.is_quarantined sup' 1);
+        (* and through a whole checkpoint on disk *)
+        let ck = K.capture ~system:"test" ?injector sim in
+        let path = Filename.temp_file "ck-sparse" ".json" in
+        K.save ck path;
+        let ck' = K.load path in
+        Sys.remove path;
+        Alcotest.(check bool) "artifact identical" true (K.equal ck ck');
+        let r = K.resume ck' g in
+        Alcotest.(check bool) "resumed artifact identical" true
+          (K.equal ck (K.capture ~system:"test" ?injector:r.K.r_injector r.K.r_sim)));
+    case "sparse supervisor state rejects bad block indices" (fun () ->
+        let g = chain_graph () in
+        let sup = S.create ~policy:S.Hold_last () in
+        S.attach sup (G.compile g);
+        let st = S.state_json sup in
+        let with_member name v =
+          match st with
+          | J.Obj kvs ->
+              J.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) kvs)
+          | _ -> Alcotest.fail "object expected"
+        in
+        List.iter
+          (fun (what, j) ->
+            let sup' = S.create ~policy:S.Hold_last () in
+            S.attach sup' (G.compile g);
+            match S.restore_state sup' j with
+            | () -> Alcotest.failf "%s: expected Invalid_argument" what
+            | exception Invalid_argument _ -> ())
+          [ ("quarantined past the last block",
+             with_member "quarantined" (J.List [ J.Int 3 ]));
+            ("negative quarantined index",
+             with_member "quarantined" (J.List [ J.Int (-1) ]));
+            ("non-integer quarantined index",
+             with_member "quarantined" (J.List [ J.Str "0" ]));
+            ("dense boolean quarantine list",
+             with_member "quarantined" (J.List [ J.Bool false; J.Bool false; J.Bool false ]));
+            ("streak past the last block",
+             with_member "consec" (J.List [ J.List [ J.Int 3; J.Int 1 ] ]));
+            ("streak of zero listed",
+             with_member "consec" (J.List [ J.List [ J.Int 0; J.Int 0 ] ]));
+            ("bare streak index",
+             with_member "consec" (J.List [ J.Int 0 ]));
+            ("consec not a list", with_member "consec" (J.Int 0)) ]);
   ]

@@ -420,6 +420,179 @@ let sim_tests =
           "streak length recorded" true
           (List.for_all (fun h -> h.M.h_max_streak >= 2) q)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Churn semantics: a sampled record is that instant's exact churn     *)
+(* ------------------------------------------------------------------ *)
+
+module Sim = Asr.Simulate
+module Fx = Asr.Fixpoint
+module K = Asr.Checkpoint
+
+(* A generated net with chains, forks, delays and cyclic components, so
+   the fused fast lane collapses nets the kernel lane materializes. *)
+let churn_net () =
+  Workloads.Netgen.generate ~inputs:4 ~delays:4 ~cyclic_ratio:0.04 ~seed:11
+    ~depth:8 ~width:10 ()
+
+let churn_stream g = Workloads.Netgen.stimulus g ~instants:24
+
+let count_changed a b =
+  let c = ref 0 in
+  Array.iteri (fun i v -> if not (D.equal v b.(i)) then incr c) a;
+  !c
+
+(* Exact per-instant churn as a sink-free simulator on the same lane
+   observes it: nets whose [net_values] differ from the previous
+   instant's. *)
+let net_values_churn ?supervisor ~strategy g stream =
+  let sim = Sim.create ~strategy ?supervisor g in
+  let prev = ref (Sim.net_values sim) in
+  List.map
+    (fun inputs ->
+      ignore (Sim.step sim inputs);
+      let cur = Sim.net_values sim in
+      let c = count_changed cur !prev in
+      prev := cur;
+      c)
+    stream
+
+(* Exact per-instant churn from the registry's instant spans. *)
+let registry_churn ?supervisor ~strategy g stream =
+  let reg = R.create ~max_spans:100_000 () in
+  let sim = Sim.create ~strategy ?supervisor ~telemetry:reg g in
+  List.iter (fun i -> ignore (Sim.step sim i)) stream;
+  List.filter_map
+    (fun s ->
+      match (s.R.sp_name, List.assoc_opt "net_churn" s.R.sp_args) with
+      | "instant", Some (R.Int c) -> Some c
+      | _ -> None)
+    (R.spans reg)
+
+let sampled_monitor () = M.create ~churn_every:3 ~recorder_capacity:64 ()
+
+(* Each record's churn: the exact value on sampled instants (k-1, 2k-1,
+   ... for k = 3), 0 between samples. *)
+let expect_sampled ~what ~exact records =
+  List.iter
+    (fun r ->
+      let i = r.Rc.r_instant in
+      let want = if (i + 1) mod 3 = 0 then List.nth exact i else 0 in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: instant %d churn" what i)
+        want r.Rc.r_net_churn)
+    records
+
+(* A monitor-only (k = 3) run's flight records, one per instant. *)
+let sampled_records ?supervisor ~strategy g stream =
+  let m = sampled_monitor () in
+  let sim = Sim.create ~strategy ?supervisor ~monitor:m g in
+  List.iter (fun i -> ignore (Sim.step sim i)) stream;
+  Rc.records (M.recorder m)
+
+let supervisor_of policy = Option.map (fun p -> S.create ~policy:p ()) policy
+
+let churn_tests =
+  [ case "churn_every:3 samples the exact churn of the sampled instant"
+      (fun () ->
+        let g = churn_net () in
+        let stream = churn_stream g in
+        (* fused fast lane (no supervisor) and supervised kernel lane *)
+        List.iter
+          (fun (what, policy) ->
+            let exact =
+              net_values_churn ?supervisor:(supervisor_of policy)
+                ~strategy:Fx.Fused g stream
+            in
+            Alcotest.(check bool) (what ^ ": the stream moves nets") true
+              (List.exists (fun c -> c > 0) exact);
+            if policy <> None then
+              (* all nets materialize on the kernel lane, so the
+                 registry's exact scan sees the same churn *)
+              Alcotest.(check (list int))
+                (what ^ ": registry churn")
+                exact
+                (registry_churn ?supervisor:(supervisor_of policy)
+                   ~strategy:Fx.Fused g stream);
+            let records =
+              sampled_records ?supervisor:(supervisor_of policy)
+                ~strategy:Fx.Fused g stream
+            in
+            Alcotest.(check int) (what ^ ": every instant recorded")
+              (List.length stream) (List.length records);
+            expect_sampled ~what ~exact records)
+          [ ("fast lane", None); ("supervised lane", Some S.Hold_last) ];
+        (* the plain strategies materialize every net too *)
+        List.iter
+          (fun strategy ->
+            expect_sampled ~what:(Fx.strategy_name strategy)
+              ~exact:(registry_churn ~strategy g stream)
+              (sampled_records ~strategy g stream))
+          [ Fx.Scheduled; Fx.Worklist ]);
+    case "sampled churn stays exact across a mid-window checkpoint resume"
+      (fun () ->
+        let g = churn_net () in
+        let stream = churn_stream g in
+        List.iter
+          (fun (what, policy) ->
+            let exact =
+              net_values_churn ?supervisor:(supervisor_of policy)
+                ~strategy:Fx.Fused g stream
+            in
+            let sim =
+              Sim.create ~strategy:Fx.Fused ?supervisor:(supervisor_of policy)
+                ~monitor:(sampled_monitor ()) g
+            in
+            (* instants 0-3 done: the window closing at instant 5 is open *)
+            List.iteri (fun i inputs -> if i < 4 then ignore (Sim.step sim inputs))
+              stream;
+            let ck = K.of_json (K.to_json (K.capture ~system:"churn" sim)) in
+            let m = sampled_monitor () in
+            let r = K.resume ~monitor:m ck g in
+            List.iteri
+              (fun i inputs -> if i >= 4 then ignore (Sim.step r.K.r_sim inputs))
+              stream;
+            let records = Rc.records (M.recorder m) in
+            Alcotest.(check (list int))
+              (what ^ ": resumed records cover the suffix")
+              (List.init (List.length stream - 4) (fun i -> i + 4))
+              (List.map (fun r -> r.Rc.r_instant) records);
+            expect_sampled ~what ~exact records)
+          [ ("fast lane", None); ("supervised lane", Some S.Hold_last) ]);
+    case "net_values after every step is that instant's fixed point" (fun () ->
+        (* swapped buffers: the one handed out must never be the stale
+           spare, on churned and unchurned instants alike *)
+        let g = churn_net () in
+        let stream = churn_stream g in
+        let compiled = G.compile g in
+        let n_blocks = Array.length compiled.G.c_blocks in
+        List.iter
+          (fun strategy ->
+            List.iter
+              (fun (what, telemetry, monitor) ->
+                let sim = Sim.create ~strategy ?telemetry ?monitor g in
+                List.iteri
+                  (fun i inputs ->
+                    let delay_values = Sim.delay_state sim in
+                    ignore (Sim.step sim inputs);
+                    (* the reference runs the same lane on a fresh buffer:
+                       counted when the registry is on, fast otherwise *)
+                    let fresh =
+                      Fx.eval compiled ~inputs ~delay_values ~strategy
+                        ~eval_counts:
+                          (if telemetry = None then [||] else Array.make n_blocks 0)
+                        ()
+                    in
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s %s: instant %d"
+                         (Fx.strategy_name strategy) what i)
+                      0
+                      (count_changed (Sim.net_values sim) fresh.Fx.nets))
+                  stream)
+              [ ("monitor k=3", None, Some (sampled_monitor ()));
+                ("registry", Some (R.create ()), None);
+                ("registry + monitor", Some (R.create ()), Some (M.create ())) ])
+          [ Fx.Scheduled; Fx.Worklist; Fx.Fused ]) ]
+
 let suite =
   sketch_tests @ sketch_qcheck @ window_tests @ recorder_tests
-  @ monitor_tests @ sim_tests
+  @ monitor_tests @ sim_tests @ churn_tests
